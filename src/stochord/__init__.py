@@ -32,6 +32,7 @@ from .distributions import (
 from .errors import (
     ConditionsViolated,
     DominationError,
+    InconsistentStages,
     InfiniteSupport,
     InvalidOccupancy,
     InvalidSpec,

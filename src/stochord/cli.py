@@ -29,7 +29,7 @@ from .distributions import (
     spec_from_json,
     spec_to_json,
 )
-from .errors import ConditionsViolated, DominationError, InvalidSpec, StochordError
+from .errors import DominationError, InvalidSpec, StochordError
 from .exact import format_scalar
 from .likelihood import likelihood_profile, tail_conditions
 from .oracle import Exact, OraclePolicy, Relation, crossing_points, dominance
@@ -342,9 +342,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidSpec, ConditionsViolated) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT
     except StochordError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT

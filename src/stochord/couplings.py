@@ -76,18 +76,6 @@ class BoxChoiceJoint:
             return Fraction(1, (n2 - a2) * n1)
         return Fraction(0)
 
-    def region_probabilities(self) -> dict:
-        """Total mass of each of the four membership regions."""
-        return {
-            region: self.cell_weight(*region) * count
-            for region, count in (
-                ((True, True), self.a1 * self.a2),
-                ((True, False), self.a1 * (self.n2 - self.a2)),
-                ((False, True), (self.n1 - self.a1) * self.a2),
-                ((False, False), (self.n1 - self.a1) * (self.n2 - self.a2)),
-            )
-        }
-
     def as_matrix(self) -> list:
         """Full table over {1..n1} x {1..n2} with A_i = {1..a_i}."""
         return [

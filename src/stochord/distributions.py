@@ -6,15 +6,20 @@ always, negative binomial with integer r and rational p, Poisson-binomial
 with rational entries); otherwise it is a float (Poisson always, any float
 parameter, non-integer r). All integer combinatorics use arbitrary
 precision, so C(919,500)-scale coefficients are exact.
+
+Each exact spec has one MassTable: integer numerators over one common
+denominator, built once by the family's multiplicative recurrence and
+shared by pmf, cdf, mass_iter and every exact stage of a decision.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Union
+from typing import Optional, Union
 
 from .errors import InvalidSpec
 from .exact import INF, Scalar, is_exact, parse_scalar, scalar_to_json
@@ -140,16 +145,14 @@ def joint_support(P: DistributionSpec, Q: DistributionSpec) -> SupportBounds:
     return SupportBounds(min(sp.k_min, sq.k_min), max(sp.k_max, sq.k_max))
 
 
-def _binomial_pmf(n: int, p: Scalar, k: int) -> Scalar:
+def _binomial_pmf(n: int, p: float, k: int) -> float:
+    """Float binomial mass, in log space to stay finite for large n."""
     if k < 0 or k > n:
-        return Fraction(0) if is_exact(p) else 0.0
-    if is_exact(p):
-        return math.comb(n, k) * p**k * (1 - p) ** (n - k)
+        return 0.0
     if p == 0.0:
         return 1.0 if k == 0 else 0.0
     if p == 1.0:
         return 1.0 if k == n else 0.0
-    # log-space to stay finite for large n
     log_pmf = (
         math.lgamma(n + 1)
         - math.lgamma(k + 1)
@@ -171,16 +174,12 @@ def _negbinomial_coefficient(r: Scalar, k: int) -> Scalar:
 
 
 def _negbinomial_pmf(spec: NegBinomial, k: int) -> Scalar:
+    """Float mass of a negative binomial with a float p or a non-integer r."""
     r, p = spec.r, spec.p
-    exact = spec.integer_r and is_exact(p)
     if k < 0:
-        return Fraction(0) if exact else 0.0
+        return 0.0
     if p == 1:
-        one = Fraction(1) if is_exact(p) else 1.0
-        return one if k == 0 else one * 0
-    if exact:
-        ri = int(r)
-        return math.comb(ri + k - 1, k) * p**ri * (1 - p) ** k
+        return 1.0 if k == 0 else 0.0
     coef = _negbinomial_coefficient(r, k)
     return float(coef) * float(p) ** float(r) * float(1 - p) ** k
 
@@ -210,25 +209,170 @@ def _exactness_tag(spec: DistributionSpec) -> tuple:
     return ()
 
 
+# --- exact mass tables ----------------------------------------------------------
+
+
+class MassTable:
+    """Exact masses P({k}) = nums[k - k_min] / (den * step**(k - k_min)).
+
+    A finite support has step 1: every mass shares one denominator, so sums
+    and comparisons of masses are integer operations. The integer-r
+    negative binomial with p = a/b has den = b**r and step = b. The
+    numerators grow on demand by the family's multiplicative recurrence,
+    so a scan that stops early builds only the prefix it read.
+
+    A finite table whose numerators all fit _KEEP_BITS keeps every
+    numerator it grows. Any other table keeps only what sequential reads
+    add while it fits that bound, and scans walk the recurrence past what
+    it holds, so a long scan holds one numerator at a time.
+    """
+
+    __slots__ = ("k_min", "k_max", "nums", "den", "step", "keep", "_next")
+
+    def __init__(self, k_min, k_max, nums, den, step=1, next_mass=None):
+        self.k_min, self.k_max, self.nums, self.den, self.step = k_min, k_max, nums, den, step
+        self.keep = k_max != INF and (k_max - k_min + 1) * den.bit_length() <= _KEEP_BITS
+        self._next = next_mass  # (k, numerator at k) -> numerator at k + 1
+
+    def numerators(self):
+        """Yield the numerators from k_min upward."""
+        nums, keep = self.nums, self.keep
+        i, num = 0, self.nums[0]
+        while self.k_min + i <= self.k_max:
+            if i < len(nums):
+                num = nums[i]
+            else:
+                num = self._next(self.k_min + i - 1, num)
+                if keep:
+                    nums.append(num)
+            yield num
+            i += 1
+
+    def row(self, lo: int, hi: int):
+        """Yield the numerator of each k = lo..hi, 0 outside the support (lo <= k_min)."""
+        masses = self.numerators()
+        for k in range(lo, hi + 1):
+            yield next(masses) if self.k_min <= k <= self.k_max else 0
+
+    def num(self, k: int) -> int:
+        if k < self.k_min or k > self.k_max:
+            return 0
+        nums, i = self.nums, k - self.k_min
+        if self.keep or (i == len(nums) and self.bits() <= _KEEP_BITS):
+            while len(nums) <= i:
+                nums.append(self._next(self.k_min + len(nums) - 1, nums[-1]))
+        if i < len(nums):
+            return nums[i]
+        return next(itertools.islice(self.numerators(), i, None))
+
+    def den_at(self, k: int) -> int:
+        return self.den if self.step == 1 else self.den * self.step ** (k - self.k_min)
+
+    def fraction(self, k: int) -> Fraction:
+        num = self.num(k)
+        return Fraction(num, self.den_at(k)) if num else Fraction(0)
+
+    def bits(self) -> int:
+        """An upper bound on the bits held by the numerators."""
+        count = len(self.nums)
+        growth = 0 if self.step == 1 else (count - 1) * self.step.bit_length()
+        return count * (self.den.bit_length() + growth)
+
+
+def _build_table(spec: DistributionSpec) -> Optional[MassTable]:
+    if isinstance(spec, Binomial):
+        if not is_exact(spec.p):
+            return None
+        n, a, b = spec.n, spec.p.numerator, spec.p.denominator
+        c = b - a
+        if a == 0 or c == 0:
+            return MassTable(0 if a == 0 else n, 0 if a == 0 else n, [1], 1)
+        # C(n, k) a^k c^(n-k) over b^n
+        return MassTable(0, n, [c**n], b**n, 1, lambda k, m: m * (n - k) * a // ((k + 1) * c))
+    if isinstance(spec, Hypergeometric):
+        B, W, n = spec.B, spec.W, spec.n
+        lo, hi = max(0, n - W), min(B, n)
+        # C(B, k) C(W, n-k) over C(B+W, n)
+        return MassTable(
+            lo,
+            hi,
+            [math.comb(B, lo) * math.comb(W, n - lo)],
+            math.comb(B + W, n),
+            1,
+            lambda k, m: m * (B - k) * (n - k) // ((k + 1) * (W - n + k + 1)),
+        )
+    if isinstance(spec, NegBinomial):
+        if not is_exact(spec.p):
+            return None
+        if spec.p == 1:
+            return MassTable(0, 0, [1], 1)
+        if not spec.integer_r:
+            return None
+        r, a, b = int(spec.r), spec.p.numerator, spec.p.denominator
+        c = b - a  # C(r+k-1, k) a^r c^k over b^(r+k)
+        return MassTable(0, INF, [a**r], b**r, b, lambda k, m: m * c * (r + k) // (k + 1))
+    if isinstance(spec, PoissonBinomial):
+        if not all(is_exact(p) for p in spec.p_vec):
+            return None
+        poly, den = [1], 1  # coefficients of prod (b_i - a_i + a_i x)
+        for p in spec.p_vec:
+            a, b = p.numerator, p.denominator
+            c = b - a
+            nxt = [poly[0] * c]
+            for j in range(1, len(poly)):
+                nxt.append(poly[j] * c + poly[j - 1] * a)
+            nxt.append(poly[-1] * a)
+            poly, den = nxt, den * b
+        bounds = support(spec)
+        return MassTable(bounds.k_min, bounds.k_max, poly[bounds.k_min : bounds.k_max + 1], den)
+    if isinstance(spec, Poisson):
+        return None
+    raise InvalidSpec(f"unknown spec {spec!r}")
+
+
+_TABLES: dict = {}
+_MISSING = object()
+_TABLE_SLOTS = 16
+_TABLE_BITS = 1 << 22  # 512 KiB of numerators held by the cache
+_KEEP_BITS = 1 << 24  # the most one table keeps
+
+
+def mass_table(spec: DistributionSpec) -> Optional[MassTable]:
+    """The exact mass table of a spec, or None when its masses are floats.
+
+    Every exact stage reads this one table. A small cache, keyed by the
+    spec and its exactness tag, keeps the newest tables within a slot and
+    a bit budget (the two newest always stay).
+    """
+    key = (spec, _exactness_tag(spec))
+    table = _TABLES.get(key, _MISSING)
+    if table is not _MISSING:
+        return table
+    table = _TABLES[key] = _build_table(spec)
+    held = sum(t.bits() for t in _TABLES.values() if t is not None)
+    while len(_TABLES) > 2 and (len(_TABLES) > _TABLE_SLOTS or held > _TABLE_BITS):
+        old = _TABLES.pop(next(iter(_TABLES)))
+        held -= old.bits() if old is not None else 0
+    return table
+
+
 def poisson_binomial_pmf(p_vec) -> list:
     """Convolution of Bernoulli(p_i): vector of n+1 masses, exact for rational p_i.
 
     Accepts any sequence from Delta_n (entries in [0,1], nonincreasing).
     """
     spec = PoissonBinomial(tuple(parse_scalar(p) for p in p_vec))
-    return list(_poisson_binomial_table(spec))
-
-
-def _poisson_binomial_table(spec: PoissonBinomial) -> tuple:
-    return _poisson_binomial_table_cached(spec, _exactness_tag(spec))
+    table = mass_table(spec)
+    if table is None:
+        return list(_float_poisson_binomial_table(spec, _exactness_tag(spec)))
+    return [table.fraction(k) for k in range(len(spec.p_vec) + 1)]
 
 
 @lru_cache(maxsize=512)
-def _poisson_binomial_table_cached(spec: PoissonBinomial, tag: tuple) -> tuple:
-    exact = all(tag)
-    table = [Fraction(1)] if exact else [1.0]
+def _float_poisson_binomial_table(spec: PoissonBinomial, tag: tuple) -> tuple:
+    table = [1.0]
     for p in spec.p_vec:
-        p = p if exact else float(p)
+        p = float(p)
         q = 1 - p
         nxt = [table[0] * q]
         for j in range(1, len(table)):
@@ -240,26 +384,22 @@ def _poisson_binomial_table_cached(spec: PoissonBinomial, tag: tuple) -> tuple:
 
 def pmf(spec: DistributionSpec, k: int) -> Scalar:
     """P({k}); exactly zero outside the support."""
+    table = mass_table(spec)
+    if table is not None:
+        return table.fraction(k)
+    return float_pmf(spec, k)
+
+
+def float_pmf(spec: DistributionSpec, k: int) -> float:
+    """P({k}) of a spec without an exact mass table."""
     if isinstance(spec, Binomial):
         return _binomial_pmf(spec.n, spec.p, k)
     if isinstance(spec, NegBinomial):
         return _negbinomial_pmf(spec, k)
-    if isinstance(spec, Hypergeometric):
-        bounds = support(spec)
-        if k < bounds.k_min or k > bounds.k_max:
-            return Fraction(0)
-        return Fraction(
-            math.comb(spec.B, k) * math.comb(spec.W, spec.n - k),
-            math.comb(spec.B + spec.W, spec.n),
-        )
     if isinstance(spec, Poisson):
         return _poisson_pmf(spec.lam, k)
-    if isinstance(spec, PoissonBinomial):
-        table = _poisson_binomial_table(spec)
-        if k < 0 or k >= len(table):
-            return Fraction(0) if isinstance(table[0], Fraction) else 0.0
-        return table[k]
-    raise InvalidSpec(f"unknown spec {spec!r}")
+    table = _float_poisson_binomial_table(spec, _exactness_tag(spec))
+    return table[k] if 0 <= k < len(table) else 0.0
 
 
 def _finite_cdf_table(spec: DistributionSpec) -> tuple:
@@ -269,6 +409,9 @@ def _finite_cdf_table(spec: DistributionSpec) -> tuple:
 @lru_cache(maxsize=4096)
 def _finite_cdf_table_cached(spec: DistributionSpec, tag: tuple) -> tuple:
     """Cumulative masses F(k_min), ..., F(k_max) for a finite support."""
+    table = mass_table(spec)
+    if table is not None:
+        return tuple(Fraction(c, table.den) for c in itertools.accumulate(table.numerators()))
     bounds = support(spec)
     acc = None
     out = []
@@ -290,6 +433,12 @@ def cdf(spec: DistributionSpec, k: int) -> Scalar:
         if k >= bounds.k_max:
             return table[-1]
         return table[k - bounds.k_min]
+    table = mass_table(spec)
+    if table is not None:
+        acc = 0
+        for num in itertools.islice(table.numerators(), k - table.k_min + 1):
+            acc = acc * table.step + num  # the running sum over den * step**k
+        return Fraction(acc, table.den_at(k))
     return zero_like + sum(pmf(spec, j) for j in range(bounds.k_min, k + 1))
 
 
@@ -327,43 +476,38 @@ def mean(spec: DistributionSpec) -> Scalar:
 def mass_iter(spec: DistributionSpec, *, prefer_exact: bool = True):
     """Yield (k, P({k})) from the support minimum upward.
 
-    Uses multiplicative recurrences so long truncated scans stay O(1) per
-    step. With prefer_exact=False every mass is a float, which keeps
-    big-rational growth out of tail searches.
+    Exact specs read their mass table. With prefer_exact=False every mass
+    is a float from a multiplicative recurrence (or the float pmf), which
+    keeps big-rational growth out of tail searches.
     """
     bounds = support(spec)
+    table = mass_table(spec)
+    if table is not None and prefer_exact:
+        for k, num in enumerate(table.numerators(), table.k_min):
+            yield k, Fraction(num, table.den_at(k)) if num else Fraction(0)
+        return
     if isinstance(spec, Binomial) and bounds.k_min == 0 and bounds.k_max == spec.n:
-        p = spec.p
-        if prefer_exact and is_exact(p):
-            mass = (1 - p) ** spec.n
-            ratio = p / (1 - p)
-            for k in range(spec.n + 1):
-                yield k, mass
-                if k < spec.n:
-                    mass = mass * ratio * Fraction(spec.n - k, k + 1)
-        else:
-            for k in range(spec.n + 1):
-                yield k, float(_binomial_pmf(spec.n, float(p), k))
+        for k in range(spec.n + 1):
+            yield k, _binomial_pmf(spec.n, float(spec.p), k)
         return
     if isinstance(spec, NegBinomial) and spec.p != 1:
-        r, p = spec.r, spec.p
-        if prefer_exact and spec.integer_r and is_exact(p):
-            mass = p ** int(r)
-            q = 1 - p
-            k = 0
-            while True:
+        rf, pf = float(spec.r), float(spec.p)
+        mass = pf**rf
+        k = 0
+        exact = None  # once the float recurrence underflows, it stays at 0
+        while True:
+            if mass > 0:
                 yield k, mass
-                mass = mass * q * Fraction(int(r) + k, k + 1)
-                k += 1
-        else:
-            rf, pf = float(r), float(p)
-            mass = pf**rf
-            k = 0
-            while True:
-                yield k, mass if mass > 0 else _negbinomial_pmf(spec, k)
-                mass = mass * (1 - pf) * (rf + k) / (k + 1)
-                k += 1
-        return
+            elif table is None:
+                yield k, _negbinomial_pmf(spec, k)
+            else:  # read the float of each exact mass from here on
+                if exact is None:
+                    exact, den = itertools.islice(table.numerators(), k, None), table.den_at(k)
+                num = next(exact)
+                yield k, num / den if num else 0.0
+                den *= table.step
+            mass = mass * (1 - pf) * (rf + k) / (k + 1)
+            k += 1
     if isinstance(spec, Poisson):
         lam = float(spec.lam)
         mass = math.exp(-lam)
@@ -372,11 +516,13 @@ def mass_iter(spec: DistributionSpec, *, prefer_exact: bool = True):
             yield k, mass if mass > 0 else _poisson_pmf(lam, k)
             mass = mass * lam / (k + 1)
             k += 1
-        return
     # remaining cases have finite support; direct evaluation per k
+    if table is not None:
+        for k, num in enumerate(table.numerators(), table.k_min):
+            yield k, num / table.den if num else 0.0
+        return
     for k in range(bounds.k_min, bounds.k_max + 1):
-        mass = pmf(spec, k)
-        yield k, mass if prefer_exact else float(mass)
+        yield k, float_pmf(spec, k)
 
 
 def tail_cap(P: DistributionSpec, Q: DistributionSpec, epsilon: float = 1e-12, hard_cap: int = 10**6) -> int:
@@ -399,15 +545,6 @@ def tail_cap(P: DistributionSpec, Q: DistributionSpec, epsilon: float = 1e-12, h
         if (1.0 - fp) + (1.0 - fq) < epsilon:
             return k + 1
     return hard_cap
-
-
-_FAMILY_TAGS = {
-    Binomial: "binomial",
-    NegBinomial: "negbinomial",
-    Hypergeometric: "hypergeometric",
-    Poisson: "poisson",
-    PoissonBinomial: "poisson_binomial",
-}
 
 
 def spec_to_json(spec: DistributionSpec) -> dict:

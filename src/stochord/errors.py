@@ -25,6 +25,14 @@ class InfiniteSupport(StochordError):
     """An exact finite-support operation was asked about an infinite support."""
 
 
+class InconsistentStages(StochordError):
+    """Two decision stages that must agree did not (a defect in stochord).
+
+    Raised where an invariant is checked, so that it still holds under
+    ``python -O``.
+    """
+
+
 class InvalidOccupancy(StochordError, ValueError):
     """Occupied-set sizes are incompatible with the box-pair joint table."""
 

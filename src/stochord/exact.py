@@ -46,10 +46,6 @@ def is_exact(x: Scalar) -> bool:
     return isinstance(x, Fraction)
 
 
-def as_float(x: Scalar) -> float:
-    return float(x)
-
-
 def scalar_to_json(x: Scalar):
     """Render a Scalar losslessly: Fractions as strings, floats as floats."""
     if isinstance(x, Fraction):
@@ -80,3 +76,26 @@ def scalar_pow(base: Scalar, exponent: Scalar) -> Scalar:
         return float(base) ** int(exponent)
     return float(base) ** float(exponent)
 
+
+def cross_sign(a: int, b: int, c: int, d: int) -> int:
+    """Sign of a*d - c*b for nonnegative integers, i.e. of a/b - c/d.
+
+    The leading 64 bits of each factor bound both products from below and
+    above; the full products are formed only when those bounds overlap.
+    """
+    sa, sb = max(a.bit_length() - 64, 0), max(b.bit_length() - 64, 0)
+    sc, sd = max(c.bit_length() - 64, 0), max(d.bit_length() - 64, 0)
+    if sa or sb or sc or sd:
+        ah, bh, ch, dh = a >> sa, b >> sb, c >> sc, d >> sd
+        e_ad, e_cb = sa + sd, sc + sb
+        shift = min(e_ad, e_cb)
+        ad_lo = ah * dh << (e_ad - shift)
+        ad_hi = (ah + (sa > 0)) * (dh + (sd > 0)) << (e_ad - shift)
+        cb_lo = ch * bh << (e_cb - shift)
+        cb_hi = (ch + (sc > 0)) * (bh + (sb > 0)) << (e_cb - shift)
+        if ad_lo > cb_hi:
+            return 1
+        if ad_hi < cb_lo:
+            return -1
+    diff = a * d - c * b
+    return (diff > 0) - (diff < 0)

@@ -26,12 +26,14 @@ from .distributions import (
     NegBinomial,
     Poisson,
     SupportBounds,
+    float_pmf,
     joint_support,
+    mass_table,
     pmf,
     support,
 )
-from .errors import InfiniteSupport, UnboundedProfile, UnsupportedPair
-from .exact import INF, Scalar
+from .errors import InconsistentStages, InfiniteSupport, UnboundedProfile, UnsupportedPair
+from .exact import INF, Scalar, cross_sign
 
 
 class Shape(enum.Enum):
@@ -88,7 +90,18 @@ def point_ratio(P, Q, k) -> Scalar:
     pk, qk = pmf(P, k), pmf(Q, k)
     if qk == 0:
         return INF if pk > 0 else pk / 1  # typed zero never happens on the joint support
-    return pk / qk
+    try:
+        return pk / qk
+    except ZeroDivisionError:  # an exact qk > 0 whose float underflows
+        return _exact_quotient(pk, qk)
+
+
+def _exact_quotient(pk, qk) -> float:
+    """pk / qk formed exactly, then rounded; inf beyond the float range."""
+    try:
+        return float(Fraction(pk) / qk)
+    except OverflowError:
+        return INF
 
 
 # --- closed-form consecutive ratios -----------------------------------------
@@ -189,12 +202,76 @@ def _compare(a, b) -> int:
     return 1 if a > b else -1
 
 
-def _classify(ks, vals):
-    moves = []  # (sign, left index) for each strict move; ties dropped
-    for i in range(len(vals) - 1):
-        s = _compare(vals[i + 1], vals[i])
-        if s != 0:
-            moves.append((s, i))
+def _lambda_scan(P, Q, lo, hi, values_hi=None, until_rise=False):
+    """Points of lo..hi inside either support, and the sign of each move of
+    lambda between neighbouring points (lambda = inf where Q's mass is 0).
+
+    Two exact mass tables compare p_k q_j against p_j q_k in integers;
+    otherwise the masses take part as floats, divided as pmf values would
+    be. Also returns lambda itself on the points up to values_hi.
+    """
+    tp, tq = mass_table(P), mass_table(Q)
+    ks, signs, values = [], [], {}
+    prev = None
+    if tp is not None and tq is not None:
+        for k, p, q in zip(range(lo, hi + 1), tp.row(lo, hi), tq.row(lo, hi)):
+            # lambda(k) = p * tq.den / (q * tp.den) once each table's growth
+            # in its denominator is folded into the other side
+            if not p and not q:
+                continue
+            if tq.step != 1:
+                p *= tq.step ** (k - tq.k_min)
+            if tp.step != 1:
+                q *= tp.step ** (k - tp.k_min)
+            if prev is not None:
+                signs.append(cross_sign(p, q, *prev))
+            prev = (p, q)
+            if values_hi is not None and k <= values_hi:
+                values[k] = INF if not q else Fraction(p * tq.den, q * tp.den)
+            ks.append(k)
+            if until_rise and signs and signs[-1] > 0:
+                break
+        return ks, signs, values
+    masses = zip(range(lo, hi + 1), _float_masses(P, tp, lo, hi), _float_masses(Q, tq, lo, hi))
+    for k, (p_zero, p), (q_zero, q) in masses:
+        if p_zero and q_zero:
+            continue
+        if q_zero:
+            value = INF
+        elif q == 0:  # an exact mass of Q whose float underflows
+            value = _exact_quotient(p, tq.fraction(k))
+        else:
+            value = p / q
+        if prev is not None:
+            signs.append(_compare(value, prev))
+        prev = value
+        if values_hi is not None and k <= values_hi:
+            values[k] = value
+        ks.append(k)
+        if until_rise and signs and signs[-1] > 0:
+            break
+    return ks, signs, values
+
+
+def _float_masses(spec, table, lo, hi):
+    """(P({k}) == 0, P({k}) as it enters float arithmetic) for k = lo..hi.
+
+    lo is at most the support minimum, as the joint minimum always is.
+    """
+    if table is None:
+        for k in range(lo, hi + 1):
+            mass = float_pmf(spec, k)
+            yield mass == 0, mass
+        return
+    den = table.den
+    for k, num in zip(range(lo, hi + 1), table.row(lo, hi)):
+        yield not num, num / den if num else 0.0
+        if table.step != 1 and k >= table.k_min:
+            den *= table.step
+
+
+def _classify(ks, signs):
+    moves = [(s, i) for i, s in enumerate(signs) if s]  # (sign, left index); ties dropped
     if not moves:
         return Shape.INCREASING, None  # constant profiles count as monotone
     first = moves[0][0]
@@ -238,7 +315,11 @@ def _phase_change_floor(P: DistributionSpec, Q: DistributionSpec, k_min: int) ->
 
 
 def likelihood_profile(
-    P: DistributionSpec, Q: DistributionSpec, k_cap: Optional[int] = None
+    P: DistributionSpec,
+    Q: DistributionSpec,
+    k_cap: Optional[int] = None,
+    *,
+    with_values: bool = True,
 ) -> LikelihoodProfile:
     """lambda(k) on the joint support with a half-monotonicity classification.
 
@@ -246,6 +327,8 @@ def likelihood_profile(
     support is unbounded unless the pair has a closed-form consecutive
     ratio, in which case the scan is extended past every analytically
     known phase change so the classification does not depend on the cap.
+    With ``with_values=False`` only the shape is computed and ``values``
+    is empty.
     """
     js = joint_support(P, Q)
     certified = has_closed_ratio(P, Q)
@@ -266,15 +349,8 @@ def likelihood_profile(
         scan_hi = max(values_hi, _phase_change_floor(P, Q, js.k_min)) if certified else values_hi
         capped = True
 
-    ks, vals = [], []
-    for k in range(js.k_min, scan_hi + 1):
-        pk, qk = pmf(P, k), pmf(Q, k)
-        if pk == 0 and qk == 0:
-            continue
-        ks.append(k)
-        vals.append(INF if qk == 0 else pk / qk)
-    shape, turning = _classify(ks, vals)
-    values = {k: v for k, v in zip(ks, vals) if k <= values_hi}
+    ks, signs, values = _lambda_scan(P, Q, js.k_min, scan_hi, values_hi if with_values else None)
+    shape, turning = _classify(ks, signs)
     return LikelihoodProfile(js, values, shape, turning, capped)
 
 
@@ -337,7 +413,7 @@ def hmlr_criterion(
 
     Membership is sufficient for P to be stochastically below Q.
     """
-    profile = likelihood_profile(P, Q, k_cap)
+    profile = likelihood_profile(P, Q, k_cap, with_values=False)
     tails = tail_conditions(P, Q)
     member = (
         profile.shape in HALF_MONOTONE_SHAPES and tails.left_holds and tails.right_holds
@@ -371,22 +447,13 @@ def is_lr_ordered(P: DistributionSpec, Q: DistributionSpec, k_cap: Optional[int]
         scan_hi = _phase_change_floor(P, Q, js.k_min)
     else:
         raise UnboundedProfile("unbounded joint support needs k_cap for a scan")
-    prev = None
-    nonincreasing = True
-    for k in range(js.k_min, scan_hi + 1):
-        pk, qk = pmf(P, k), pmf(Q, k)
-        if pk == 0 and qk == 0:
-            continue
-        value = INF if qk == 0 else pk / qk
-        if prev is not None and _compare(value, prev) > 0:
-            nonincreasing = False
-            break
-        prev = value
+    _, signs, _ = _lambda_scan(P, Q, js.k_min, scan_hi, until_rise=True)
+    nonincreasing = all(s <= 0 for s in signs)
     if isinstance(P, Binomial) and isinstance(Q, Binomial):
-        closed = _binomial_lr_closed_form(P, Q)
-        assert closed == nonincreasing, (
-            f"closed-form and scanned likelihood-ratio order disagree for {P} vs {Q}"
-        )
+        if _binomial_lr_closed_form(P, Q) != nonincreasing:
+            raise InconsistentStages(
+                f"closed-form and scanned likelihood-ratio order disagree for {P} vs {Q}"
+            )
     return nonincreasing
 
 
@@ -400,12 +467,12 @@ def lr_two_point_check(P: DistributionSpec, Q: DistributionSpec) -> bool:
     js = joint_support(P, Q)
     if not js.finite:
         raise InfiniteSupport("two-point enumeration needs a finite joint support")
-    masses = []
-    for k in range(js.k_min, js.k_max + 1):
-        pk, qk = pmf(P, k), pmf(Q, k)
-        if pk == 0 and qk == 0:
-            continue
-        masses.append((pk, qk))
+    tp, tq = mass_table(P), mass_table(Q)
+    if tp is not None and tq is not None:  # finite tables: one denominator each
+        pairs = zip(tp.row(js.k_min, js.k_max), tq.row(js.k_min, js.k_max))
+    else:
+        pairs = ((pmf(P, k), pmf(Q, k)) for k in range(js.k_min, js.k_max + 1))
+    masses = [(pk, qk) for pk, qk in pairs if pk != 0 or qk != 0]
     for i in range(len(masses)):
         p_i, q_i = masses[i]
         for j in range(i + 1, len(masses)):

@@ -1,23 +1,25 @@
 """Ground-truth dominance checking via survival-function comparison.
 
 P is stochastically below Q exactly when F_P(k) >= F_Q(k) for every k
-(equivalently S_P <= S_Q pointwise). On finite supports the scan is exact
-rational arithmetic; on unbounded supports the scan runs to a cap and the
-remaining tail is either bounded by epsilon, or certified analytically when
-the pair's likelihood ratio has a closed-form monotone tail phase.
+(equivalently S_P <= S_Q pointwise). One scan compares the two cdfs as
+integer ratios by cross-multiplication and yields the relation, the
+crossings and both witnesses together. On finite supports it is exact; on
+unbounded supports it runs to a cap and the remaining tail is either
+bounded by epsilon, or certified analytically when the pair's likelihood
+ratio has a closed-form monotone tail phase.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from . import likelihood
-from .distributions import DistributionSpec, joint_support, mass_iter, tail_cap
+from .distributions import DistributionSpec, joint_support, mass_iter, mass_table, tail_cap
 from .errors import InfiniteSupport, UnboundedProfile, UnsupportedPair
-from .exact import INF
+from .exact import INF, cross_sign
 
 
 class Relation(enum.Enum):
@@ -48,6 +50,8 @@ class DominanceReport:
     relation: Relation
     crossings: tuple  # first k of each new strict sign of F_P - F_Q
     mode: Mode
+    # (k_minus, k_plus) as survival_witnesses gives them, for incomparable pairs
+    witnesses: Optional[tuple] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -57,22 +61,77 @@ class OraclePolicy:
     hard_cap: int = 10**6
 
 
-def _paired_cdf_scan(P, Q, hi, *, prefer_exact=True):
-    """Yield (k, F_P(k), F_Q(k)) for k from the joint minimum up to hi."""
-    js = joint_support(P, Q)
-    it_p = mass_iter(P, prefer_exact=prefer_exact)
-    it_q = mass_iter(Q, prefer_exact=prefer_exact)
-    head_p = next(it_p, None)
-    head_q = next(it_q, None)
-    fp = fq = 0
-    for k in range(js.k_min, hi + 1):
-        if head_p is not None and head_p[0] == k:
-            fp = fp + head_p[1]
-            head_p = next(it_p, None)
-        if head_q is not None and head_q[0] == k:
-            fq = fq + head_q[1]
-            head_q = next(it_q, None)
-        yield k, fp, fq
+def _cdf_ratios(spec, lo, hi):
+    """(a, b) with F(k) = a/b exactly, for k = lo..hi (lo at most the support minimum).
+
+    An exact spec sums its integer mass table over the table's denominator.
+    A float spec sums its float masses in mass_iter order, and the ratio is
+    that float sum's own exact value, so float cdfs round as they always did.
+    """
+    table = mass_table(spec)
+    if table is None:
+        it = mass_iter(spec)
+        head = next(it, None)
+        acc = 0
+        for k in range(lo, hi + 1):
+            if head is not None and head[0] == k:
+                acc = acc + head[1]
+                head = next(it, None)
+            yield acc.as_integer_ratio()
+        return
+    acc, den, step = 0, table.den, table.step
+    for k, num in zip(range(lo, hi + 1), table.row(lo, hi)):
+        if step != 1 and k > table.k_min:
+            acc, den = acc * step, den * step
+        acc += num
+        yield acc, den
+
+
+def _paired_cdf_scan(P, Q, hi):
+    """Yield (k, F_P(k), F_Q(k)) for k from the joint minimum up to hi, as ratios."""
+    lo = joint_support(P, Q).k_min
+    yield from zip(range(lo, hi + 1), _cdf_ratios(P, lo, hi), _cdf_ratios(Q, lo, hi))
+
+
+@dataclass(frozen=True)
+class _Scan:
+    crossings: tuple  # first k of each new strict sign of F_P - F_Q
+    first_above: Optional[int]  # first k with F_P(k) > F_Q(k)
+    first_below: Optional[int]  # first k with F_P(k) < F_Q(k)
+    end: int  # last k compared
+    tail_bound: float  # (1 - F_P) + (1 - F_Q) at the last k read, in floats
+
+
+def _survival_scan(P, Q, hi, *, saturate=False, until_witnesses=False) -> _Scan:
+    """One pass of F_P - F_Q over the joint minimum..hi, by cross-multiplication.
+
+    With saturate, the pass stops where a float cdf leaves both cdfs within
+    1e-15 of 1 (deeper differences are rounding noise). With
+    until_witnesses, it stops once both strict signs have been seen.
+    """
+    floats = saturate and (mass_table(P) is None or mass_table(Q) is None)
+    crossings = []
+    prev = 0
+    above = below = None
+    end = joint_support(P, Q).k_min - 1
+    a, b, c, d = 0, 1, 0, 1
+    for k, (a, b), (c, d) in _paired_cdf_scan(P, Q, hi):
+        if floats and (1.0 - a / b) + (1.0 - c / d) < 1e-15:
+            break
+        end = k
+        sign = cross_sign(a, b, c, d)
+        if sign:
+            if prev and sign != prev:
+                crossings.append(k)
+            prev = sign
+            if sign > 0 and above is None:
+                above = k
+            elif sign < 0 and below is None:
+                below = k
+            if until_witnesses and above is not None and below is not None:
+                break
+    tail_bound = max(0.0, 1.0 - a / b) + max(0.0, 1.0 - c / d)
+    return _Scan(tuple(crossings), above, below, end, tail_bound)
 
 
 def _relation_from_signs(saw_above: bool, saw_below: bool) -> Relation:
@@ -85,23 +144,24 @@ def _relation_from_signs(saw_above: bool, saw_below: bool) -> Relation:
     return Relation.EQUAL
 
 
+def _witness_pair(scan: _Scan, hi: int) -> Optional[tuple]:
+    """(k_minus, k_plus) from the first strict signs at or below hi, else None."""
+    if scan.first_above is None or scan.first_below is None:
+        return None
+    if max(scan.first_above, scan.first_below) > hi:
+        return None
+    return scan.first_above + 1, scan.first_below + 1
+
+
 def dominance_exact(P: DistributionSpec, Q: DistributionSpec) -> DominanceReport:
     """Exact survival comparison; both supports must be finite."""
     js = joint_support(P, Q)
     if not js.finite:
         raise InfiniteSupport("exact dominance needs finite supports; use dominance_truncated")
-    crossings = []
-    prev_sign = 0
-    saw_above = saw_below = False
-    for k, fp, fq in _paired_cdf_scan(P, Q, js.k_max):
-        sign = 1 if fp > fq else (-1 if fp < fq else 0)
-        if sign != 0:
-            if prev_sign != 0 and sign != prev_sign:
-                crossings.append(k)
-            prev_sign = sign
-            saw_above |= sign > 0
-            saw_below |= sign < 0
-    return DominanceReport(_relation_from_signs(saw_above, saw_below), tuple(crossings), Exact())
+    scan = _survival_scan(P, Q, js.k_max)
+    relation = _relation_from_signs(scan.first_above is not None, scan.first_below is not None)
+    witnesses = _witness_pair(scan, js.k_max) if relation == Relation.INCOMPARABLE else None
+    return DominanceReport(relation, scan.crossings, Exact(), witnesses)
 
 
 def _tail_certifies(P, Q, k_cap) -> bool:
@@ -114,7 +174,7 @@ def _tail_certifies(P, Q, k_cap) -> bool:
     if not likelihood.has_closed_ratio(P, Q):
         return False
     try:
-        profile = likelihood.likelihood_profile(P, Q)
+        profile = likelihood.likelihood_profile(P, Q, with_values=False)
     except (UnboundedProfile, UnsupportedPair):
         return False
     if profile.turning_index is not None and profile.turning_index > k_cap:
@@ -191,33 +251,20 @@ def dominance_truncated(
     arithmetic) or the verdict flips to a certified incomparability.
     """
     rho = _survival_ratio_limit(P, Q)
+    witness_hi = k_cap
     if k_cap is None:
         k_cap = tail_cap(P, Q, epsilon, hard_cap)
+        if (epsilon, hard_cap) == (1e-12, 10**6):
+            witness_hi = k_cap  # the default window of survival_witnesses
         if rho == INF or rho == 0:
             # a far-tail flip may hide below epsilon; cover the analytic bound
             bound = _mass_flip_bound(P, Q, rho, hard_cap)
             if bound is not None:
                 k_cap = min(max(k_cap, bound + 2), hard_cap)
-    crossings = []
-    prev_sign = 0
-    saw_above = saw_below = False
-    fp = fq = 0
-    for k, fp, fq in _paired_cdf_scan(P, Q, k_cap):
-        if (isinstance(fp, float) or isinstance(fq, float)) and (
-            (1.0 - float(fp)) + (1.0 - float(fq)) < 1e-15
-        ):
-            # both float cdfs are saturated; deeper differences are rounding
-            # noise, and any analytic far-tail facts are handled below
-            break
-        sign = 1 if fp > fq else (-1 if fp < fq else 0)
-        if sign != 0:
-            if prev_sign != 0 and sign != prev_sign:
-                crossings.append(k)
-            prev_sign = sign
-            saw_above |= sign > 0
-            saw_below |= sign < 0
-    tail_bound = max(0.0, 1.0 - float(fp)) + max(0.0, 1.0 - float(fq))
-    relation = _relation_from_signs(saw_above, saw_below)
+    # a saturated float cdf ends the window: deeper differences are rounding
+    # noise, and any analytic far-tail facts are handled below
+    scan = _survival_scan(P, Q, k_cap, saturate=True)
+    relation = _relation_from_signs(scan.first_above is not None, scan.first_below is not None)
 
     certified = False
     if relation == Relation.LE_ST:
@@ -232,9 +279,19 @@ def dominance_truncated(
         if not certified and rho is not None and rho < 1:
             relation = Relation.INCOMPARABLE
             certified = True
-    if relation not in (Relation.INCOMPARABLE,) and not certified and tail_bound > epsilon:
+    if relation not in (Relation.INCOMPARABLE,) and not certified and scan.tail_bound > epsilon:
         relation = Relation.UNKNOWN
-    return DominanceReport(relation, tuple(crossings), Truncated(k_cap, tail_bound, certified))
+    witnesses = None
+    if relation == Relation.INCOMPARABLE:
+        if witness_hi is None:
+            witness_hi = tail_cap(P, Q)
+        if scan.end >= witness_hi or (scan.first_above is not None and scan.first_below is not None):
+            witnesses = _witness_pair(scan, witness_hi)
+        else:  # the window stopped short of the witness window
+            witnesses = survival_witnesses(P, Q, witness_hi)
+    return DominanceReport(
+        relation, scan.crossings, Truncated(k_cap, scan.tail_bound, certified), witnesses
+    )
 
 
 def dominance(P: DistributionSpec, Q: DistributionSpec, policy: OraclePolicy = OraclePolicy()) -> DominanceReport:
@@ -263,12 +320,4 @@ def survival_witnesses(P: DistributionSpec, Q: DistributionSpec, k_cap: Optional
         hi = js.k_max
     else:
         hi = k_cap if k_cap is not None else tail_cap(P, Q)
-    k_minus = k_plus = None
-    for k, fp, fq in _paired_cdf_scan(P, Q, hi):
-        if k_minus is None and fp > fq:
-            k_minus = k + 1
-        if k_plus is None and fp < fq:
-            k_plus = k + 1
-        if k_minus is not None and k_plus is not None:
-            return k_minus, k_plus
-    return None
+    return _witness_pair(_survival_scan(P, Q, hi, until_witnesses=True), hi)

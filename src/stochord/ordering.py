@@ -24,10 +24,17 @@ from .distributions import (
     Poisson,
     PoissonBinomial,
     joint_support,
+    mass_table,
     pmf,
     support,
 )
-from .errors import InvalidSpec, LengthMismatch, UnboundedProfile, UnsupportedPair
+from .errors import (
+    InconsistentStages,
+    InvalidSpec,
+    LengthMismatch,
+    UnboundedProfile,
+    UnsupportedPair,
+)
 from .exact import format_scalar, parse_scalar, scalar_pow, scalar_to_json
 from .likelihood import HmlrCertificate, has_closed_ratio, hmlr_criterion
 from .oracle import OraclePolicy, Relation
@@ -333,6 +340,11 @@ def _specs_equal(P: DistributionSpec, Q: DistributionSpec) -> bool:
         return False  # distinct unbounded specs of our families never coincide
     if (bp.k_min, bp.k_max) != (bq.k_min, bq.k_max):
         return False
+    tp, tq = mass_table(P), mass_table(Q)
+    if tp is not None and tq is not None:
+        dp, dq = tp.den, tq.den
+        rows = zip(tp.row(bp.k_min, bp.k_max), tq.row(bp.k_min, bp.k_max))
+        return all(a * dq == b * dp for a, b in rows)
     return all(pmf(P, k) == pmf(Q, k) for k in range(bp.k_min, bp.k_max + 1))
 
 
@@ -438,13 +450,13 @@ def decide(
                 "no analytic tail certificate"
             ),
         )
-    witnesses = _witnesses(P, Q, policy) if report.relation == Relation.INCOMPARABLE else None
-    assert not (fwd is not None and not fwd.holds and report.relation == Relation.LE_ST), (
-        "closed form ruled out a direction the oracle confirmed"
-    )
-    assert not (bwd is not None and not bwd.holds and report.relation == Relation.GE_ST), (
-        "closed form ruled out a direction the oracle confirmed"
-    )
+    if (fwd is not None and not fwd.holds and report.relation == Relation.LE_ST) or (
+        bwd is not None and not bwd.holds and report.relation == Relation.GE_ST
+    ):
+        raise InconsistentStages(
+            f"closed form ruled out a direction the oracle confirmed for {P} vs {Q}"
+        )
+    witnesses = Witnesses(*report.witnesses) if report.witnesses is not None else None
     return OrderingVerdict(report.relation, cert, witnesses)
 
 
