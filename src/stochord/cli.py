@@ -21,10 +21,8 @@ from . import suites as suites_mod
 from .distributions import (
     Binomial,
     DistributionSpec,
-    Hypergeometric,
     NegBinomial,
     Poisson,
-    PoissonBinomial,
     joint_support,
     spec_from_json,
     spec_to_json,
@@ -37,8 +35,7 @@ from .ordering import (
     BernoulliConvolutionCertificate,
     ClosedFormCertificate,
     OracleCertificate,
-    bc_sufficient,
-    binomial_bc_criterion,
+    bc_criteria,
     decide,
     verdict_to_json,
 )
@@ -81,16 +78,14 @@ def _emit(args, text: str):
 
 
 def _cmd_decide(args) -> int:
-    P = _parse_spec(args.spec_p)
-    Q = _parse_spec(args.spec_q)
+    P, Q = _parse_spec(args.spec_p), _parse_spec(args.spec_q)
     verdict = decide(P, Q, _policy(args))
     _emit(args, json.dumps(verdict_to_json(verdict), sort_keys=True) + "\n")
     return EXIT_UNKNOWN if verdict.relation == Relation.UNKNOWN else EXIT_OK
 
 
 def _cmd_oracle(args) -> int:
-    P = _parse_spec(args.spec_p)
-    Q = _parse_spec(args.spec_q)
+    P, Q = _parse_spec(args.spec_p), _parse_spec(args.spec_q)
     report = dominance(P, Q, _policy(args))
     payload = {
         "relation": report.relation.value,
@@ -112,12 +107,9 @@ def _describe_certificate(cert) -> list:
     if isinstance(cert, ClosedFormCertificate):
         direction = " (applied to the reversed pair)" if cert.reversed else ""
         lines.append(f"certificate: closed-form tail characterization [{cert.pair}]{direction}")
-        for cond in cert.conditions:
-            lines.append(f"  {cond.name}: {'holds' if cond.holds else 'fails'} - {cond.detail}")
-        for cond in cert.reverse_conditions:
-            lines.append(
-                f"  reverse {cond.name}: {'holds' if cond.holds else 'fails'} - {cond.detail}"
-            )
+        for prefix, conditions in (("", cert.conditions), ("reverse ", cert.reverse_conditions)):
+            for cond in conditions:
+                lines.append(f"  {prefix}{cond.name}: {'holds' if cond.holds else 'fails'} - {cond.detail}")
     elif isinstance(cert, OracleCertificate):
         lines.append(f"certificate: oracle ({cert.kind})")
         if cert.kind == "truncated":
@@ -143,8 +135,7 @@ def _describe_certificate(cert) -> list:
 
 
 def _cmd_explain(args) -> int:
-    P = _parse_spec(args.spec_p)
-    Q = _parse_spec(args.spec_q)
+    P, Q = _parse_spec(args.spec_p), _parse_spec(args.spec_q)
     verdict = decide(P, Q, _policy(args))
     lines = [
         f"P: {json.dumps(spec_to_json(P))}",
@@ -186,57 +177,50 @@ def _cmd_explain(args) -> int:
         lines.append(f"likelihood profile: unavailable ({exc})")
     if joint_support(P, Q).finite:
         lines.append(f"cdf crossings: {crossing_points(P, Q)}")
-    if isinstance(P, PoissonBinomial) and isinstance(Q, PoissonBinomial):
-        fwd = bc_sufficient(P.p_vec, Q.p_vec)
-        bwd = bc_sufficient(Q.p_vec, P.p_vec)
-        lines.append(
-            "Bernoulli-convolution products: "
-            f"P<=Q prefix {fwd.head_products_ok}, suffix {fwd.tail_products_ok}; "
-            f"Q<=P prefix {bwd.head_products_ok}, suffix {bwd.tail_products_ok}"
-        )
-    bc_pair = None
-    if isinstance(P, PoissonBinomial) and isinstance(Q, Binomial):
-        bc_pair = (P, Q, True)
-    elif isinstance(P, Binomial) and isinstance(Q, PoissonBinomial):
-        bc_pair = (Q, P, False)
-    if bc_pair is not None:
-        bc, binom, bc_first = bc_pair
-        if 0 < binom.p < 1 and len(bc.p_vec) <= binom.n:
-            le = binomial_bc_criterion(bc.p_vec, binom.n, binom.p, "bc_le_binomial")
-            ge = binomial_bc_criterion(bc.p_vec, binom.n, binom.p, "binomial_le_bc")
+    criteria = bc_criteria(P, Q)
+    if criteria is not None:
+        fwd, bwd = dict(criteria.forward), dict(criteria.backward)
+        if criteria.exact:
+            held = {**fwd, **bwd}
             lines.append(
-                f"extreme-mass criteria: convolution <= binomial: {le}; "
-                f"binomial <= convolution: {ge}"
+                f"extreme-mass criteria: convolution <= binomial: {held['mass_at_zero']}; "
+                f"binomial <= convolution: {held['mass_at_top']}"
+            )
+        else:
+            lines.append(
+                "Bernoulli-convolution products: "
+                f"P<=Q prefix {fwd['prefix_products']}, suffix {fwd['suffix_products']}; "
+                f"Q<=P prefix {bwd['prefix_products']}, suffix {bwd['suffix_products']}"
             )
     _emit(args, "\n".join(lines) + "\n")
     return EXIT_UNKNOWN if verdict.relation == Relation.UNKNOWN else EXIT_OK
 
 
+# method -> (P's family, Q's family, what the method needs, sampler); None admits any pair
+_SAMPLERS = {
+    "explicit": (Binomial, Binomial, "two binomial specs",
+                 lambda P, Q, *run: cpl.binomial_explicit_coupling(P.n, P.p, Q.n, Q.p, *run)),
+    "levy": (NegBinomial, NegBinomial, "two negbinomial specs",
+             lambda P, Q, *run: cpl.levy_coupling(P.r, P.p, Q.r, Q.p, *run)),
+    "occupancy": (Binomial, Binomial, "two binomial specs",
+                  lambda P, Q, *run: cpl.occupancy_coupling(P.n, P.p, Q.n, Q.p, *run)),
+    "poissonize": (Binomial, Poisson, "a binomial and a poisson spec",
+                   lambda P, Q, *run: cpl.binom_poisson_coupling(P.n, P.p, Q.lam, *run)),
+    "quantile": (None, None, "", lambda P, Q, *run: cpl.quantile_coupling(P, Q, *run)),
+}
+
+
 def _sampler_for(method: str, P, Q, seed: int, count: int, trace: bool):
-    if method == "explicit":
-        if not (isinstance(P, Binomial) and isinstance(Q, Binomial)):
-            raise InvalidSpec("method 'explicit' needs two binomial specs")
-        return cpl.binomial_explicit_coupling(P.n, P.p, Q.n, Q.p, seed, count, trace)
-    if method == "occupancy":
-        if not (isinstance(P, Binomial) and isinstance(Q, Binomial)):
-            raise InvalidSpec("method 'occupancy' needs two binomial specs")
-        return cpl.occupancy_coupling(P.n, P.p, Q.n, Q.p, seed, count, trace)
-    if method == "levy":
-        if not (isinstance(P, NegBinomial) and isinstance(Q, NegBinomial)):
-            raise InvalidSpec("method 'levy' needs two negbinomial specs")
-        return cpl.levy_coupling(P.r, P.p, Q.r, Q.p, seed, count, trace)
-    if method == "poissonize":
-        if not (isinstance(P, Binomial) and isinstance(Q, Poisson)):
-            raise InvalidSpec("method 'poissonize' needs a binomial and a poisson spec")
-        return cpl.binom_poisson_coupling(P.n, P.p, Q.lam, seed, count, trace)
-    if method == "quantile":
-        return cpl.quantile_coupling(P, Q, seed, count, trace)
-    raise InvalidSpec(f"unknown method {method!r}")
+    if method not in _SAMPLERS:
+        raise InvalidSpec(f"unknown method {method!r}")
+    family_p, family_q, needs, sampler = _SAMPLERS[method]
+    if family_p is not None and (type(P), type(Q)) != (family_p, family_q):
+        raise InvalidSpec(f"method {method!r} needs {needs}")
+    return sampler(P, Q, seed, count, trace)
 
 
 def _cmd_couple(args) -> int:
-    P = _parse_spec(args.spec_p)
-    Q = _parse_spec(args.spec_q)
+    P, Q = _parse_spec(args.spec_p), _parse_spec(args.spec_q)
     seed = args.seed if args.seed is not None else _default_seed()
     try:
         samples = _sampler_for(args.method, P, Q, seed, args.samples, args.trace)
@@ -285,6 +269,19 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if passed == len(results) else EXIT_VIOLATION
 
 
+def _nonnegative(convert):
+    """An argparse type: convert the text, then reject a negative or NaN value."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not value >= 0:
+            raise argparse.ArgumentTypeError(f"must be nonnegative, got {text}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names the type in "invalid int value"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stochord",
@@ -296,8 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_pair(p):
         p.add_argument("spec_p", help='JSON spec, e.g. {"family":"binomial","n":18,"p":"1/2"}')
         p.add_argument("spec_q", help='JSON spec, e.g. {"family":"hypergeometric","B":21,"W":23,"n":22}')
-        p.add_argument("--k-cap", type=int, default=None, help="truncation cap for unbounded supports")
-        p.add_argument("--epsilon", type=float, default=1e-12, help="tail mass bound for truncated verdicts")
+        p.add_argument("--k-cap", type=_nonnegative(int), default=None, help="truncation cap for unbounded supports")
+        p.add_argument("--epsilon", type=_nonnegative(float), default=1e-12, help="tail mass bound for truncated verdicts")
         p.add_argument("--output", default="-", help="output path (default stdout)")
 
     p_decide = sub.add_parser("decide", help="print the ordering verdict as JSON")
@@ -306,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_explain = sub.add_parser("explain", help="human-readable report of the decision")
     add_pair(p_explain)
-    p_explain.add_argument("--profile-rows", type=int, default=25, help="profile rows to print")
+    p_explain.add_argument("--profile-rows", type=_nonnegative(int), default=25, help="profile rows to print")
     p_explain.set_defaults(func=_cmd_explain)
 
     p_oracle = sub.add_parser("oracle", help="raw survival-comparison report")
@@ -319,9 +316,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_couple.add_argument(
         "--method",
         required=True,
-        choices=["explicit", "levy", "occupancy", "poissonize", "quantile"],
+        choices=sorted(_SAMPLERS),
     )
-    p_couple.add_argument("--samples", type=int, default=1000)
+    p_couple.add_argument("--samples", type=_nonnegative(int), default=1000)
     p_couple.add_argument("--seed", type=int, default=None, help=f"default {DEFAULT_SEED} (or STOCHORD_SEED)")
     p_couple.add_argument("--trace", action="store_true", help="attach construction traces")
     p_couple.add_argument("--output", default="-")

@@ -213,20 +213,24 @@ def occupancy_transition_matrix(n: int) -> list:
     return matrix
 
 
+def occupancy_step(state, n: int) -> list:
+    """The law of the nonempty-box count after one more uniform throw into n boxes."""
+    nxt = [Fraction(0)] * (n + 1)
+    for k, mass in enumerate(state):
+        if mass:
+            nxt[k] += mass * Fraction(k, n)
+            if k < n:
+                nxt[k + 1] += mass * Fraction(n - k, n)
+    return nxt
+
+
 def occupancy_pushforward(n: int, t: int) -> tuple:
     """Exact law of the nonempty-box count after t uniform throws into n boxes."""
     if n < 1 or t < 0:
         raise InvalidOccupancy(f"need n >= 1 and t >= 0, got n={n}, t={t}")
     state = [Fraction(1)] + [Fraction(0)] * n
     for _ in range(t):
-        nxt = [Fraction(0)] * (n + 1)
-        for k, mass in enumerate(state):
-            if mass == 0:
-                continue
-            nxt[k] += mass * Fraction(k, n)
-            if k < n:
-                nxt[k + 1] += mass * Fraction(n - k, n)
-        state = nxt
+        state = occupancy_step(state, n)
     return tuple(state)
 
 
@@ -250,14 +254,7 @@ def occupancy_mixture(n: int, p, t_cap: Optional[int] = None) -> list:
     for t in range(t_cap + 1):
         if t > 0:
             weight *= lam / t
-            nxt = [Fraction(0)] * (n + 1)
-            for k, mass in enumerate(state):
-                if mass == 0:
-                    continue
-                nxt[k] += mass * Fraction(k, n)
-                if k < n:
-                    nxt[k + 1] += mass * Fraction(n - k, n)
-            state = nxt
+            state = occupancy_step(state, n)
         for k in range(n + 1):
             if state[k]:
                 mixture[k] += weight * float(state[k])

@@ -10,6 +10,9 @@ precision, so C(919,500)-scale coefficients are exact.
 Each exact spec has one MassTable: integer numerators over one common
 denominator, built once by the family's multiplicative recurrence and
 shared by pmf, cdf, mass_iter and every exact stage of a decision.
+
+Each family class owns its behaviour (see Family); the module functions
+below are the public surface and dispatch to it.
 """
 
 from __future__ import annotations
@@ -26,83 +29,6 @@ from .exact import INF, Scalar, is_exact, parse_scalar, scalar_to_json
 
 
 @dataclass(frozen=True)
-class Binomial:
-    """Number of successes in n independent trials with success chance p."""
-
-    n: int
-    p: Scalar
-
-    def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
-            raise InvalidSpec(f"binomial n must be a positive integer, got {self.n!r}")
-        if not 0 <= self.p <= 1:
-            raise InvalidSpec(f"binomial p must lie in [0,1], got {self.p}")
-
-
-@dataclass(frozen=True)
-class NegBinomial:
-    """Number of failures before the r-th success (Pascal distribution)."""
-
-    r: Scalar
-    p: Scalar
-
-    def __post_init__(self):
-        if not self.r > 0:
-            raise InvalidSpec(f"negbinomial r must be positive, got {self.r}")
-        if not 0 < self.p <= 1:
-            raise InvalidSpec(f"negbinomial p must lie in (0,1], got {self.p}")
-
-    @property
-    def integer_r(self) -> bool:
-        return isinstance(self.r, Fraction) and self.r.denominator == 1
-
-
-@dataclass(frozen=True)
-class Hypergeometric:
-    """Black balls drawn when sampling n without replacement from B+W."""
-
-    B: int
-    W: int
-    n: int
-
-    def __post_init__(self):
-        if self.B < 0 or self.W < 0:
-            raise InvalidSpec("hypergeometric B and W must be nonnegative integers")
-        if not isinstance(self.n, int) or self.n < 1:
-            raise InvalidSpec(f"hypergeometric n must be a positive integer, got {self.n!r}")
-        if self.n > self.B + self.W:
-            raise InvalidSpec(f"hypergeometric needs n <= B+W, got n={self.n}, B+W={self.B + self.W}")
-
-
-@dataclass(frozen=True)
-class Poisson:
-    lam: Scalar
-
-    def __post_init__(self):
-        if not self.lam > 0:
-            raise InvalidSpec(f"poisson lambda must be positive, got {self.lam}")
-
-
-@dataclass(frozen=True)
-class PoissonBinomial:
-    """Sum of independent Bernoulli(p_i) with p_vec sorted nonincreasing."""
-
-    p_vec: tuple
-
-    def __post_init__(self):
-        if not self.p_vec:
-            raise InvalidSpec("poisson_binomial needs at least one entry")
-        for p in self.p_vec:
-            if not 0 <= p <= 1:
-                raise InvalidSpec(f"poisson_binomial entries must lie in [0,1], got {p}")
-        if any(a < b for a, b in zip(self.p_vec, self.p_vec[1:])):
-            raise InvalidSpec("poisson_binomial p_vec must be sorted nonincreasing")
-
-
-DistributionSpec = Union[Binomial, NegBinomial, Hypergeometric, Poisson, PoissonBinomial]
-
-
-@dataclass(frozen=True)
 class SupportBounds:
     k_min: int
     k_max: Union[int, float]  # math.inf for unbounded support
@@ -114,99 +40,6 @@ class SupportBounds:
     @property
     def finite(self) -> bool:
         return self.k_max != INF
-
-
-def support(spec: DistributionSpec) -> SupportBounds:
-    """Minimal and maximal k with positive mass (inf when unbounded)."""
-    if isinstance(spec, Binomial):
-        if spec.p == 0:
-            return SupportBounds(0, 0)
-        if spec.p == 1:
-            return SupportBounds(spec.n, spec.n)
-        return SupportBounds(0, spec.n)
-    if isinstance(spec, NegBinomial):
-        if spec.p == 1:
-            return SupportBounds(0, 0)
-        return SupportBounds(0, INF)
-    if isinstance(spec, Hypergeometric):
-        return SupportBounds(max(0, spec.n - spec.W), min(spec.B, spec.n))
-    if isinstance(spec, Poisson):
-        return SupportBounds(0, INF)
-    if isinstance(spec, PoissonBinomial):
-        ones = sum(1 for p in spec.p_vec if p == 1)
-        positive = sum(1 for p in spec.p_vec if p > 0)
-        return SupportBounds(ones, positive)
-    raise InvalidSpec(f"unknown spec {spec!r}")
-
-
-def joint_support(P: DistributionSpec, Q: DistributionSpec) -> SupportBounds:
-    """Bounds of {k : P({k}) + Q({k}) > 0}."""
-    sp, sq = support(P), support(Q)
-    return SupportBounds(min(sp.k_min, sq.k_min), max(sp.k_max, sq.k_max))
-
-
-def _binomial_pmf(n: int, p: float, k: int) -> float:
-    """Float binomial mass, in log space to stay finite for large n."""
-    if k < 0 or k > n:
-        return 0.0
-    if p == 0.0:
-        return 1.0 if k == 0 else 0.0
-    if p == 1.0:
-        return 1.0 if k == n else 0.0
-    log_pmf = (
-        math.lgamma(n + 1)
-        - math.lgamma(k + 1)
-        - math.lgamma(n - k + 1)
-        + k * math.log(p)
-        + (n - k) * math.log1p(-p)
-    )
-    return math.exp(log_pmf)
-
-
-def _negbinomial_coefficient(r: Scalar, k: int) -> Scalar:
-    """C(r+k-1, k) as a rising-factorial product, exact for rational r."""
-    if isinstance(r, Fraction):
-        out = Fraction(1)
-        for l in range(1, k + 1):
-            out *= Fraction(r + l - 1, l)
-        return out
-    return math.exp(math.lgamma(r + k) - math.lgamma(r) - math.lgamma(k + 1))
-
-
-def _negbinomial_pmf(spec: NegBinomial, k: int) -> Scalar:
-    """Float mass of a negative binomial with a float p or a non-integer r."""
-    r, p = spec.r, spec.p
-    if k < 0:
-        return 0.0
-    if p == 1:
-        return 1.0 if k == 0 else 0.0
-    coef = _negbinomial_coefficient(r, k)
-    return float(coef) * float(p) ** float(r) * float(1 - p) ** k
-
-
-def _poisson_pmf(lam: Scalar, k: int) -> float:
-    if k < 0:
-        return 0.0
-    lam = float(lam)
-    return math.exp(k * math.log(lam) - lam - math.lgamma(k + 1))
-
-
-def _exactness_tag(spec: DistributionSpec) -> tuple:
-    """Scalar-field exactness, part of every cache key.
-
-    A float parameter can compare equal to a Fraction (0.5 == 1/2), so two
-    specs that hash alike may still demand different arithmetic; caching by
-    spec alone would hand a float table to an exact caller.
-    """
-    if isinstance(spec, Binomial):
-        return (is_exact(spec.p),)
-    if isinstance(spec, NegBinomial):
-        return (is_exact(spec.r), is_exact(spec.p))
-    if isinstance(spec, Poisson):
-        return (is_exact(spec.lam),)
-    if isinstance(spec, PoissonBinomial):
-        return tuple(is_exact(p) for p in spec.p_vec)
-    return ()
 
 
 # --- exact mass tables ----------------------------------------------------------
@@ -279,18 +112,212 @@ class MassTable:
         return count * (self.den.bit_length() + growth)
 
 
-def _build_table(spec: DistributionSpec) -> Optional[MassTable]:
-    if isinstance(spec, Binomial):
-        if not is_exact(spec.p):
+# --- the families -----------------------------------------------------------------
+
+
+class Family:
+    """A family spec: its JSON name ``family``, ``support()``, ``mean()``,
+    ``to_json()`` and ``from_json(obj)``, plus ``float_pmf(k)`` where its
+    masses can be floats and ``build_table()`` where they can be exact.
+    """
+
+    family = ""
+
+    def exactness(self) -> tuple:
+        """Scalar-field exactness, part of every cache key.
+
+        A float parameter can compare equal to a Fraction (0.5 == 1/2), so
+        two specs that hash alike may still demand different arithmetic;
+        caching by spec alone would hand a float table to an exact caller.
+        """
+        return ()
+
+    def build_table(self) -> Optional[MassTable]:
+        """The exact mass table, or None when the masses are floats."""
+        return None
+
+    def float_masses(self, table: Optional[MassTable]):
+        """Yield (k, float P({k})) from the support minimum upward."""
+        if table is not None:
+            for k, num in enumerate(table.numerators(), table.k_min):
+                yield k, num / table.den if num else 0.0
+            return
+        bounds = self.support()
+        for k in range(bounds.k_min, bounds.k_max + 1):
+            yield k, self.float_pmf(k)
+
+
+@dataclass(frozen=True)
+class Binomial(Family):
+    """Number of successes in n independent trials with success chance p."""
+
+    n: int
+    p: Scalar
+    family = "binomial"
+
+    def __post_init__(self):
+        if not isinstance(self.n, int) or self.n < 1:
+            raise InvalidSpec(f"binomial n must be a positive integer, got {self.n!r}")
+        if not 0 <= self.p <= 1:
+            raise InvalidSpec(f"binomial p must lie in [0,1], got {self.p}")
+
+    def support(self) -> SupportBounds:
+        if self.p == 0:
+            return SupportBounds(0, 0)
+        if self.p == 1:
+            return SupportBounds(self.n, self.n)
+        return SupportBounds(0, self.n)
+
+    def exactness(self) -> tuple:
+        return (is_exact(self.p),)
+
+    def build_table(self) -> Optional[MassTable]:
+        if not is_exact(self.p):
             return None
-        n, a, b = spec.n, spec.p.numerator, spec.p.denominator
+        n, a, b = self.n, self.p.numerator, self.p.denominator
         c = b - a
         if a == 0 or c == 0:
             return MassTable(0 if a == 0 else n, 0 if a == 0 else n, [1], 1)
         # C(n, k) a^k c^(n-k) over b^n
         return MassTable(0, n, [c**n], b**n, 1, lambda k, m: m * (n - k) * a // ((k + 1) * c))
-    if isinstance(spec, Hypergeometric):
-        B, W, n = spec.B, spec.W, spec.n
+
+    def float_pmf(self, k: int) -> float:
+        """Float mass, in log space to stay finite for large n."""
+        n, p = self.n, float(self.p)
+        if k < 0 or k > n:
+            return 0.0
+        if p == 0.0:
+            return 1.0 if k == 0 else 0.0
+        if p == 1.0:
+            return 1.0 if k == n else 0.0
+        log_pmf = (
+            math.lgamma(n + 1)
+            - math.lgamma(k + 1)
+            - math.lgamma(n - k + 1)
+            + k * math.log(p)
+            + (n - k) * math.log1p(-p)
+        )
+        return math.exp(log_pmf)
+
+    def float_masses(self, table: Optional[MassTable]):
+        return super().float_masses(None)  # log-space floats, also where an exact table exists
+
+    def mean(self) -> Scalar:
+        return self.n * self.p
+
+    def to_json(self) -> dict:
+        return {"family": self.family, "n": self.n, "p": scalar_to_json(self.p)}
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "Binomial":
+        return cls(_require_int(obj, "n"), parse_scalar(obj["p"]))
+
+
+@dataclass(frozen=True)
+class NegBinomial(Family):
+    """Number of failures before the r-th success (Pascal distribution)."""
+
+    r: Scalar
+    p: Scalar
+    family = "negbinomial"
+
+    def __post_init__(self):
+        if not 0 < self.r < INF:
+            raise InvalidSpec(f"negbinomial r must be positive and finite, got {self.r}")
+        if not 0 < self.p <= 1:
+            raise InvalidSpec(f"negbinomial p must lie in (0,1], got {self.p}")
+
+    @property
+    def integer_r(self) -> bool:
+        return isinstance(self.r, Fraction) and self.r.denominator == 1
+
+    def support(self) -> SupportBounds:
+        return SupportBounds(0, 0) if self.p == 1 else SupportBounds(0, INF)
+
+    def exactness(self) -> tuple:
+        return (is_exact(self.r), is_exact(self.p))
+
+    def build_table(self) -> Optional[MassTable]:
+        if not is_exact(self.p):
+            return None
+        if self.p == 1:
+            return MassTable(0, 0, [1], 1)
+        if not self.integer_r:
+            return None
+        r, a, b = int(self.r), self.p.numerator, self.p.denominator
+        c = b - a  # C(r+k-1, k) a^r c^k over b^(r+k)
+        return MassTable(0, INF, [a**r], b**r, b, lambda k, m: m * c * (r + k) // (k + 1))
+
+    def float_pmf(self, k: int) -> float:
+        """Float mass, for a float p or a non-integer r."""
+        r, p = self.r, self.p
+        if k < 0:
+            return 0.0
+        if p == 1:
+            return 1.0 if k == 0 else 0.0
+        if isinstance(r, Fraction):  # C(r+k-1, k) as an exact rising-factorial product
+            coef = Fraction(1)
+            for l in range(1, k + 1):
+                coef *= Fraction(r + l - 1, l)
+        else:
+            coef = math.exp(math.lgamma(r + k) - math.lgamma(r) - math.lgamma(k + 1))
+        return float(coef) * float(p) ** float(r) * float(1 - p) ** k
+
+    def float_masses(self, table: Optional[MassTable]):
+        if self.p == 1:
+            yield from super().float_masses(table)
+            return
+        rf, pf = float(self.r), float(self.p)
+        mass = pf**rf
+        k = 0
+        exact = None  # once the float recurrence underflows, it stays at 0
+        while True:
+            if mass > 0:
+                yield k, mass
+            elif table is None:
+                yield k, self.float_pmf(k)
+            else:  # read the float of each exact mass from here on
+                if exact is None:
+                    exact, den = itertools.islice(table.numerators(), k, None), table.den_at(k)
+                num = next(exact)
+                yield k, num / den if num else 0.0
+                den *= table.step
+            mass = mass * (1 - pf) * (rf + k) / (k + 1)
+            k += 1
+
+    def mean(self) -> Scalar:
+        return self.r * (1 - self.p) / self.p
+
+    def to_json(self) -> dict:
+        return {"family": self.family, "r": scalar_to_json(self.r), "p": scalar_to_json(self.p)}
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "NegBinomial":
+        return cls(parse_scalar(obj["r"]), parse_scalar(obj["p"]))
+
+
+@dataclass(frozen=True)
+class Hypergeometric(Family):
+    """Black balls drawn when sampling n without replacement from B+W."""
+
+    B: int
+    W: int
+    n: int
+    family = "hypergeometric"
+
+    def __post_init__(self):
+        if self.B < 0 or self.W < 0:
+            raise InvalidSpec("hypergeometric B and W must be nonnegative integers")
+        if not isinstance(self.n, int) or self.n < 1:
+            raise InvalidSpec(f"hypergeometric n must be a positive integer, got {self.n!r}")
+        if self.n > self.B + self.W:
+            raise InvalidSpec(f"hypergeometric needs n <= B+W, got n={self.n}, B+W={self.B + self.W}")
+
+    def support(self) -> SupportBounds:
+        return SupportBounds(max(0, self.n - self.W), min(self.B, self.n))
+
+    def build_table(self) -> MassTable:
+        B, W, n = self.B, self.W, self.n
         lo, hi = max(0, n - W), min(B, n)
         # C(B, k) C(W, n-k) over C(B+W, n)
         return MassTable(
@@ -301,21 +328,88 @@ def _build_table(spec: DistributionSpec) -> Optional[MassTable]:
             1,
             lambda k, m: m * (B - k) * (n - k) // ((k + 1) * (W - n + k + 1)),
         )
-    if isinstance(spec, NegBinomial):
-        if not is_exact(spec.p):
-            return None
-        if spec.p == 1:
-            return MassTable(0, 0, [1], 1)
-        if not spec.integer_r:
-            return None
-        r, a, b = int(spec.r), spec.p.numerator, spec.p.denominator
-        c = b - a  # C(r+k-1, k) a^r c^k over b^(r+k)
-        return MassTable(0, INF, [a**r], b**r, b, lambda k, m: m * c * (r + k) // (k + 1))
-    if isinstance(spec, PoissonBinomial):
-        if not all(is_exact(p) for p in spec.p_vec):
+
+    def mean(self) -> Scalar:
+        return Fraction(self.n * self.B, self.B + self.W)
+
+    def to_json(self) -> dict:
+        return {"family": self.family, "B": self.B, "W": self.W, "n": self.n}
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "Hypergeometric":
+        return cls(_require_int(obj, "B"), _require_int(obj, "W"), _require_int(obj, "n"))
+
+
+@dataclass(frozen=True)
+class Poisson(Family):
+    lam: Scalar
+    family = "poisson"
+
+    def __post_init__(self):
+        if not 0 < self.lam < INF:
+            raise InvalidSpec(f"poisson lambda must be positive and finite, got {self.lam}")
+
+    def support(self) -> SupportBounds:
+        return SupportBounds(0, INF)
+
+    def exactness(self) -> tuple:
+        return (is_exact(self.lam),)
+
+    def float_pmf(self, k: int) -> float:
+        if k < 0:
+            return 0.0
+        lam = float(self.lam)
+        return math.exp(k * math.log(lam) - lam - math.lgamma(k + 1))
+
+    def float_masses(self, table: Optional[MassTable]):
+        lam = float(self.lam)
+        mass = math.exp(-lam)
+        k = 0
+        while True:
+            yield k, mass if mass > 0 else self.float_pmf(k)
+            mass = mass * lam / (k + 1)
+            k += 1
+
+    def mean(self) -> Scalar:
+        return self.lam
+
+    def to_json(self) -> dict:
+        return {"family": self.family, "lambda": scalar_to_json(self.lam)}
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "Poisson":
+        return cls(parse_scalar(obj["lambda"]))
+
+
+@dataclass(frozen=True)
+class PoissonBinomial(Family):
+    """Sum of independent Bernoulli(p_i) with p_vec sorted nonincreasing."""
+
+    p_vec: tuple
+    family = "poisson_binomial"
+
+    def __post_init__(self):
+        if not self.p_vec:
+            raise InvalidSpec("poisson_binomial needs at least one entry")
+        for p in self.p_vec:
+            if not 0 <= p <= 1:
+                raise InvalidSpec(f"poisson_binomial entries must lie in [0,1], got {p}")
+        if any(a < b for a, b in zip(self.p_vec, self.p_vec[1:])):
+            raise InvalidSpec("poisson_binomial p_vec must be sorted nonincreasing")
+
+    def support(self) -> SupportBounds:
+        ones = sum(1 for p in self.p_vec if p == 1)
+        positive = sum(1 for p in self.p_vec if p > 0)
+        return SupportBounds(ones, positive)
+
+    def exactness(self) -> tuple:
+        return tuple(is_exact(p) for p in self.p_vec)
+
+    def build_table(self) -> Optional[MassTable]:
+        if not all(is_exact(p) for p in self.p_vec):
             return None
         poly, den = [1], 1  # coefficients of prod (b_i - a_i + a_i x)
-        for p in spec.p_vec:
+        for p in self.p_vec:
             a, b = p.numerator, p.denominator
             c = b - a
             nxt = [poly[0] * c]
@@ -323,11 +417,41 @@ def _build_table(spec: DistributionSpec) -> Optional[MassTable]:
                 nxt.append(poly[j] * c + poly[j - 1] * a)
             nxt.append(poly[-1] * a)
             poly, den = nxt, den * b
-        bounds = support(spec)
+        bounds = self.support()
         return MassTable(bounds.k_min, bounds.k_max, poly[bounds.k_min : bounds.k_max + 1], den)
-    if isinstance(spec, Poisson):
-        return None
-    raise InvalidSpec(f"unknown spec {spec!r}")
+
+    def float_pmf(self, k: int) -> float:
+        table = _float_poisson_binomial_table(self, self.exactness())
+        return table[k] if 0 <= k < len(table) else 0.0
+
+    def mean(self) -> Scalar:
+        return sum(self.p_vec, Fraction(0))
+
+    def to_json(self) -> dict:
+        return {"family": self.family, "p": [scalar_to_json(p) for p in self.p_vec]}
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "PoissonBinomial":
+        p_vec = obj["p"]
+        if not isinstance(p_vec, list):
+            raise InvalidSpec(f"poisson_binomial field 'p' must be a list, got {p_vec!r}")
+        return cls(tuple(parse_scalar(p) for p in p_vec))
+
+
+DistributionSpec = Union[Binomial, NegBinomial, Hypergeometric, Poisson, PoissonBinomial]
+
+FAMILIES = {cls.family: cls for cls in (Binomial, NegBinomial, Hypergeometric, Poisson, PoissonBinomial)}
+
+
+def support(spec: DistributionSpec) -> SupportBounds:
+    """Minimal and maximal k with positive mass (inf when unbounded)."""
+    return spec.support()
+
+
+def joint_support(P: DistributionSpec, Q: DistributionSpec) -> SupportBounds:
+    """Bounds of {k : P({k}) + Q({k}) > 0}."""
+    sp, sq = P.support(), Q.support()
+    return SupportBounds(min(sp.k_min, sq.k_min), max(sp.k_max, sq.k_max))
 
 
 _TABLES: dict = {}
@@ -344,11 +468,11 @@ def mass_table(spec: DistributionSpec) -> Optional[MassTable]:
     spec and its exactness tag, keeps the newest tables within a slot and
     a bit budget (the two newest always stay).
     """
-    key = (spec, _exactness_tag(spec))
+    key = (spec, spec.exactness())
     table = _TABLES.get(key, _MISSING)
     if table is not _MISSING:
         return table
-    table = _TABLES[key] = _build_table(spec)
+    table = _TABLES[key] = spec.build_table()
     held = sum(t.bits() for t in _TABLES.values() if t is not None)
     while len(_TABLES) > 2 and (len(_TABLES) > _TABLE_SLOTS or held > _TABLE_BITS):
         old = _TABLES.pop(next(iter(_TABLES)))
@@ -364,7 +488,7 @@ def poisson_binomial_pmf(p_vec) -> list:
     spec = PoissonBinomial(tuple(parse_scalar(p) for p in p_vec))
     table = mass_table(spec)
     if table is None:
-        return list(_float_poisson_binomial_table(spec, _exactness_tag(spec)))
+        return list(_float_poisson_binomial_table(spec, spec.exactness()))
     return [table.fraction(k) for k in range(len(spec.p_vec) + 1)]
 
 
@@ -387,23 +511,16 @@ def pmf(spec: DistributionSpec, k: int) -> Scalar:
     table = mass_table(spec)
     if table is not None:
         return table.fraction(k)
-    return float_pmf(spec, k)
+    return spec.float_pmf(k)
 
 
 def float_pmf(spec: DistributionSpec, k: int) -> float:
     """P({k}) of a spec without an exact mass table."""
-    if isinstance(spec, Binomial):
-        return _binomial_pmf(spec.n, spec.p, k)
-    if isinstance(spec, NegBinomial):
-        return _negbinomial_pmf(spec, k)
-    if isinstance(spec, Poisson):
-        return _poisson_pmf(spec.lam, k)
-    table = _float_poisson_binomial_table(spec, _exactness_tag(spec))
-    return table[k] if 0 <= k < len(table) else 0.0
+    return spec.float_pmf(k)
 
 
 def _finite_cdf_table(spec: DistributionSpec) -> tuple:
-    return _finite_cdf_table_cached(spec, _exactness_tag(spec))
+    return _finite_cdf_table_cached(spec, spec.exactness())
 
 
 @lru_cache(maxsize=4096)
@@ -412,7 +529,7 @@ def _finite_cdf_table_cached(spec: DistributionSpec, tag: tuple) -> tuple:
     table = mass_table(spec)
     if table is not None:
         return tuple(Fraction(c, table.den) for c in itertools.accumulate(table.numerators()))
-    bounds = support(spec)
+    bounds = spec.support()
     acc = None
     out = []
     for k in range(bounds.k_min, bounds.k_max + 1):
@@ -424,7 +541,7 @@ def _finite_cdf_table_cached(spec: DistributionSpec, tag: tuple) -> tuple:
 
 def cdf(spec: DistributionSpec, k: int) -> Scalar:
     """P({0,...,k}); exactness inherited from pmf."""
-    bounds = support(spec)
+    bounds = spec.support()
     zero_like = pmf(spec, bounds.k_min) * 0
     if k < bounds.k_min:
         return zero_like
@@ -444,7 +561,7 @@ def cdf(spec: DistributionSpec, k: int) -> Scalar:
 
 def survival(spec: DistributionSpec, k: int) -> Scalar:
     """P({k, k+1, ...}) = 1 - cdf(k-1)."""
-    bounds = support(spec)
+    bounds = spec.support()
     zero_like = pmf(spec, bounds.k_min) * 0
     if k <= bounds.k_min:
         return zero_like + 1
@@ -457,20 +574,7 @@ def survival(spec: DistributionSpec, k: int) -> Scalar:
 
 
 def mean(spec: DistributionSpec) -> Scalar:
-    if isinstance(spec, Binomial):
-        return spec.n * spec.p
-    if isinstance(spec, NegBinomial):
-        return spec.r * (1 - spec.p) / spec.p
-    if isinstance(spec, Hypergeometric):
-        return Fraction(spec.n * spec.B, spec.B + spec.W)
-    if isinstance(spec, Poisson):
-        return spec.lam
-    if isinstance(spec, PoissonBinomial):
-        total = Fraction(0)
-        for p in spec.p_vec:
-            total = total + p
-        return total
-    raise InvalidSpec(f"unknown spec {spec!r}")
+    return spec.mean()
 
 
 def mass_iter(spec: DistributionSpec, *, prefer_exact: bool = True):
@@ -480,49 +584,12 @@ def mass_iter(spec: DistributionSpec, *, prefer_exact: bool = True):
     is a float from a multiplicative recurrence (or the float pmf), which
     keeps big-rational growth out of tail searches.
     """
-    bounds = support(spec)
     table = mass_table(spec)
     if table is not None and prefer_exact:
         for k, num in enumerate(table.numerators(), table.k_min):
             yield k, Fraction(num, table.den_at(k)) if num else Fraction(0)
         return
-    if isinstance(spec, Binomial) and bounds.k_min == 0 and bounds.k_max == spec.n:
-        for k in range(spec.n + 1):
-            yield k, _binomial_pmf(spec.n, float(spec.p), k)
-        return
-    if isinstance(spec, NegBinomial) and spec.p != 1:
-        rf, pf = float(spec.r), float(spec.p)
-        mass = pf**rf
-        k = 0
-        exact = None  # once the float recurrence underflows, it stays at 0
-        while True:
-            if mass > 0:
-                yield k, mass
-            elif table is None:
-                yield k, _negbinomial_pmf(spec, k)
-            else:  # read the float of each exact mass from here on
-                if exact is None:
-                    exact, den = itertools.islice(table.numerators(), k, None), table.den_at(k)
-                num = next(exact)
-                yield k, num / den if num else 0.0
-                den *= table.step
-            mass = mass * (1 - pf) * (rf + k) / (k + 1)
-            k += 1
-    if isinstance(spec, Poisson):
-        lam = float(spec.lam)
-        mass = math.exp(-lam)
-        k = 0
-        while True:
-            yield k, mass if mass > 0 else _poisson_pmf(lam, k)
-            mass = mass * lam / (k + 1)
-            k += 1
-    # remaining cases have finite support; direct evaluation per k
-    if table is not None:
-        for k, num in enumerate(table.numerators(), table.k_min):
-            yield k, num / table.den if num else 0.0
-        return
-    for k in range(bounds.k_min, bounds.k_max + 1):
-        yield k, float_pmf(spec, k)
+    yield from spec.float_masses(table)
 
 
 def tail_cap(P: DistributionSpec, Q: DistributionSpec, epsilon: float = 1e-12, hard_cap: int = 10**6) -> int:
@@ -548,17 +615,7 @@ def tail_cap(P: DistributionSpec, Q: DistributionSpec, epsilon: float = 1e-12, h
 
 
 def spec_to_json(spec: DistributionSpec) -> dict:
-    if isinstance(spec, Binomial):
-        return {"family": "binomial", "n": spec.n, "p": scalar_to_json(spec.p)}
-    if isinstance(spec, NegBinomial):
-        return {"family": "negbinomial", "r": scalar_to_json(spec.r), "p": scalar_to_json(spec.p)}
-    if isinstance(spec, Hypergeometric):
-        return {"family": "hypergeometric", "B": spec.B, "W": spec.W, "n": spec.n}
-    if isinstance(spec, Poisson):
-        return {"family": "poisson", "lambda": scalar_to_json(spec.lam)}
-    if isinstance(spec, PoissonBinomial):
-        return {"family": "poisson_binomial", "p": [scalar_to_json(p) for p in spec.p_vec]}
-    raise InvalidSpec(f"unknown spec {spec!r}")
+    return spec.to_json()
 
 
 def _require_int(obj: dict, key: str) -> int:
@@ -573,17 +630,10 @@ def spec_from_json(obj: dict) -> DistributionSpec:
     if not isinstance(obj, dict) or "family" not in obj:
         raise InvalidSpec(f"not a distribution spec: {obj!r}")
     family = obj["family"]
+    cls = FAMILIES.get(family) if isinstance(family, str) else None
+    if cls is None:
+        raise InvalidSpec(f"unknown family {family!r}")
     try:
-        if family == "binomial":
-            return Binomial(_require_int(obj, "n"), parse_scalar(obj["p"]))
-        if family == "negbinomial":
-            return NegBinomial(parse_scalar(obj["r"]), parse_scalar(obj["p"]))
-        if family == "hypergeometric":
-            return Hypergeometric(_require_int(obj, "B"), _require_int(obj, "W"), _require_int(obj, "n"))
-        if family == "poisson":
-            return Poisson(parse_scalar(obj["lambda"]))
-        if family == "poisson_binomial":
-            return PoissonBinomial(tuple(parse_scalar(p) for p in obj["p"]))
+        return cls.from_json(obj)
     except KeyError as exc:
         raise InvalidSpec(f"missing field {exc} for family {family!r}") from exc
-    raise InvalidSpec(f"unknown family {family!r}")

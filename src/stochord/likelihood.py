@@ -285,6 +285,19 @@ def _classify(ks, signs):
     return shape, turning
 
 
+def _crossing_negbinomial_negbinomial(P: NegBinomial, Q: NegBinomial) -> Optional[float]:
+    c = (1 - float(P.p)) / (1 - float(Q.p))
+    return None if c == 1.0 else (float(Q.r) - c * float(P.r)) / (c - 1.0)
+
+
+# the k where the consecutive ratio of a closed-ratio pair with two unbounded
+# supports crosses 1; Poisson/Poisson has a constant ratio, with no crossing
+_RATIO_CROSSINGS = {
+    (NegBinomial, NegBinomial): _crossing_negbinomial_negbinomial,
+    (Poisson, NegBinomial): lambda P, Q: float(P.lam) / (1 - float(Q.p)) - float(Q.r),
+}
+
+
 def _phase_change_floor(P: DistributionSpec, Q: DistributionSpec, k_min: int) -> int:
     """A scan horizon past every phase change of a closed-ratio profile.
 
@@ -301,17 +314,20 @@ def _phase_change_floor(P: DistributionSpec, Q: DistributionSpec, k_min: int) ->
     if not both_infinite:
         return floor
     first, second = (P, Q) if (type(P), type(Q)) in _RATIO_FORMS else (Q, P)
-    crossing = None
-    if isinstance(first, NegBinomial) and isinstance(second, NegBinomial):
-        c = (1 - float(first.p)) / (1 - float(second.p))
-        if c != 1.0:
-            crossing = (float(second.r) - c * float(first.r)) / (c - 1.0)
-    elif isinstance(first, Poisson) and isinstance(second, NegBinomial):
-        crossing = float(first.lam) / (1 - float(second.p)) - float(second.r)
-    # Poisson/Poisson has a constant ratio: no crossing to cover.
+    crossing_at = _RATIO_CROSSINGS.get((type(first), type(second)))
+    crossing = None if crossing_at is None else crossing_at(first, second)
     if crossing is not None and crossing > 0 and math.isfinite(crossing):
         floor = max(floor, math.ceil(crossing) + 3)
     return floor
+
+
+def _scan_end(P: DistributionSpec, Q: DistributionSpec, js: SupportBounds, hi: int) -> int:
+    """The last k a lambda scan reads to classify the shape up to hi: for a
+    closed-ratio pair, the end of a finite joint support or a k past every
+    phase change, so the shape does not depend on hi."""
+    if not has_closed_ratio(P, Q):
+        return hi
+    return js.k_max if js.finite else max(hi, _phase_change_floor(P, Q, js.k_min))
 
 
 def likelihood_profile(
@@ -331,30 +347,42 @@ def likelihood_profile(
     is empty.
     """
     js = joint_support(P, Q)
-    certified = has_closed_ratio(P, Q)
     if js.finite:
         values_hi = js.k_max if k_cap is None else min(js.k_max, k_cap)
-        scan_hi = js.k_max if certified else values_hi
-        capped = values_hi < js.k_max
+    elif k_cap is not None:
+        values_hi = k_cap
+    elif has_closed_ratio(P, Q):
+        values_hi = dist.tail_cap(P, Q)
     else:
-        if k_cap is None:
-            if not certified:
-                raise UnboundedProfile(
-                    "joint support is unbounded and the pair has no closed-form "
-                    "consecutive ratio; pass k_cap"
-                )
-            values_hi = dist.tail_cap(P, Q)
-        else:
-            values_hi = k_cap
-        scan_hi = max(values_hi, _phase_change_floor(P, Q, js.k_min)) if certified else values_hi
-        capped = True
-
+        raise UnboundedProfile(
+            "joint support is unbounded and the pair has no closed-form "
+            "consecutive ratio; pass k_cap"
+        )
+    scan_hi = _scan_end(P, Q, js, values_hi)
+    capped = values_hi < js.k_max
     ks, signs, values = _lambda_scan(P, Q, js.k_min, scan_hi, values_hi if with_values else None)
     shape, turning = _classify(ks, signs)
     return LikelihoodProfile(js, values, shape, turning, capped)
 
 
 # --- tail conditions ----------------------------------------------------------
+
+
+def _growth(a, b):
+    """The limit of a ratio that tends to 0, inf or 1 as a < b, a > b or a == b."""
+    return 0.0 if a < b else (INF if a > b else 1)
+
+
+# (right tail value, extreme tail ratio) of a pair of unbounded supports
+_LIMIT_RATIOS = {
+    (NegBinomial, NegBinomial): lambda P, Q: (
+        (1 - P.p) / (1 - Q.p),  # limit of lambda(k)**(1/k)
+        _growth(Q.p, P.p) if P.p != Q.p else _growth(P.r, Q.r),
+    ),
+    (Poisson, Poisson): lambda P, Q: (_growth(P.lam, Q.lam),) * 2,
+    (Poisson, NegBinomial): lambda P, Q: (0.0, 0.0),  # factorial decay beats geometric
+    (NegBinomial, Poisson): lambda P, Q: (INF, INF),
+}
 
 
 def _limit_ratio(P: DistributionSpec, Q: DistributionSpec):
@@ -364,28 +392,12 @@ def _limit_ratio(P: DistributionSpec, Q: DistributionSpec):
         return 0.0, 0.0  # lambda vanishes beyond P's support
     if bq.finite and not bp.finite:
         return INF, INF
-    if isinstance(P, NegBinomial) and isinstance(Q, NegBinomial):
-        value = (1 - P.p) / (1 - Q.p)  # limit of lambda(k)**(1/k)
-        if P.p > Q.p:
-            rho = 0.0
-        elif P.p < Q.p:
-            rho = INF
-        else:
-            rho = 0.0 if P.r < Q.r else (INF if P.r > Q.r else 1)
-        return value, rho
-    if isinstance(P, Poisson) and isinstance(Q, Poisson):
-        if P.lam < Q.lam:
-            return 0.0, 0.0
-        if P.lam > Q.lam:
-            return INF, INF
-        return 1, 1
-    if isinstance(P, Poisson) and isinstance(Q, NegBinomial):
-        return 0.0, 0.0  # factorial decay beats geometric
-    if isinstance(P, NegBinomial) and isinstance(Q, Poisson):
-        return INF, INF
-    raise UnsupportedPair(
-        f"no right-tail closed form for {type(P).__name__}/{type(Q).__name__}"
-    )
+    limit = _LIMIT_RATIOS.get((type(P), type(Q)))
+    if limit is None:
+        raise UnsupportedPair(
+            f"no right-tail closed form for {type(P).__name__}/{type(Q).__name__}"
+        )
+    return limit(P, Q)
 
 
 def tail_conditions(P: DistributionSpec, Q: DistributionSpec) -> TailConditions:
@@ -438,16 +450,15 @@ def _binomial_lr_closed_form(P: Binomial, Q: Binomial) -> bool:
 def is_lr_ordered(P: DistributionSpec, Q: DistributionSpec, k_cap: Optional[int] = None) -> bool:
     """True iff lambda is nonincreasing across the (scanned) joint support."""
     js = joint_support(P, Q)
-    certified = has_closed_ratio(P, Q)
     if js.finite:
-        scan_hi = js.k_max
+        hi = js.k_max
     elif k_cap is not None:
-        scan_hi = max(k_cap, _phase_change_floor(P, Q, js.k_min)) if certified else k_cap
-    elif certified:
-        scan_hi = _phase_change_floor(P, Q, js.k_min)
+        hi = k_cap
+    elif has_closed_ratio(P, Q):
+        hi = js.k_min  # the scan runs past every phase change
     else:
         raise UnboundedProfile("unbounded joint support needs k_cap for a scan")
-    _, signs, _ = _lambda_scan(P, Q, js.k_min, scan_hi, until_rise=True)
+    _, signs, _ = _lambda_scan(P, Q, js.k_min, _scan_end(P, Q, js, hi), until_rise=True)
     nonincreasing = all(s <= 0 for s in signs)
     if isinstance(P, Binomial) and isinstance(Q, Binomial):
         if _binomial_lr_closed_form(P, Q) != nonincreasing:

@@ -157,15 +157,16 @@ def _closed_form_hypergeometric(P: Hypergeometric, Q: Hypergeometric) -> Optiona
         return None  # characterization not applicable; fall through to the oracle
     k_lo = min(max(0, P.n - P.W), max(0, Q.n - Q.W))
     k_hi = max(min(P.n, P.B), min(Q.n, Q.B))
+    p_lo, q_lo, p_hi, q_hi = pmf(P, k_lo), pmf(Q, k_lo), pmf(P, k_hi), pmf(Q, k_hi)
     left = _check(
         "left_tail",
-        pmf(P, k_lo) >= pmf(Q, k_lo),
-        f"mass at joint minimum {k_lo}: {format_scalar(pmf(P, k_lo))} vs {format_scalar(pmf(Q, k_lo))}",
+        p_lo >= q_lo,
+        f"mass at joint minimum {k_lo}: {format_scalar(p_lo)} vs {format_scalar(q_lo)}",
     )
     right = _check(
         "right_tail",
-        pmf(P, k_hi) <= pmf(Q, k_hi),
-        f"mass at joint maximum {k_hi}: {format_scalar(pmf(P, k_hi))} vs {format_scalar(pmf(Q, k_hi))}",
+        p_hi <= q_hi,
+        f"mass at joint maximum {k_hi}: {format_scalar(p_hi)} vs {format_scalar(q_hi)}",
     )
     return ClosedFormOutcome(
         "hypergeometric_hypergeometric", left.holds and right.holds, (left, right)
@@ -232,6 +233,18 @@ def _closed_form_poisson_negbinomial(P: Poisson, Q: NegBinomial) -> ClosedFormOu
     return ClosedFormOutcome("poisson_negbinomial", holds, conditions)
 
 
+# P's family, Q's family -> the closed-form decision of P <= Q for that pair
+_CLOSED_FORMS = {
+    (Binomial, Binomial): _closed_form_binomial,
+    (NegBinomial, NegBinomial): _closed_form_negbinomial,
+    (Hypergeometric, Hypergeometric): _closed_form_hypergeometric,
+    (Hypergeometric, Binomial): _closed_form_hyp_binomial,
+    (Binomial, Hypergeometric): _closed_form_binomial_hyp,
+    (Binomial, Poisson): _closed_form_binomial_poisson,
+    (Poisson, NegBinomial): _closed_form_poisson_negbinomial,
+}
+
+
 def decide_closed_form(P: DistributionSpec, Q: DistributionSpec) -> Optional[ClosedFormOutcome]:
     """Closed-form decision of P <= Q (stochastic order) where characterized.
 
@@ -239,21 +252,8 @@ def decide_closed_form(P: DistributionSpec, Q: DistributionSpec) -> Optional[Clo
     pairs that satisfy neither applicability side condition); the outcome is
     exact ("holds" false really does rule the direction out).
     """
-    if isinstance(P, Binomial) and isinstance(Q, Binomial):
-        return _closed_form_binomial(P, Q)
-    if isinstance(P, NegBinomial) and isinstance(Q, NegBinomial):
-        return _closed_form_negbinomial(P, Q)
-    if isinstance(P, Hypergeometric) and isinstance(Q, Hypergeometric):
-        return _closed_form_hypergeometric(P, Q)
-    if isinstance(P, Hypergeometric) and isinstance(Q, Binomial):
-        return _closed_form_hyp_binomial(P, Q)
-    if isinstance(P, Binomial) and isinstance(Q, Hypergeometric):
-        return _closed_form_binomial_hyp(P, Q)
-    if isinstance(P, Binomial) and isinstance(Q, Poisson):
-        return _closed_form_binomial_poisson(P, Q)
-    if isinstance(P, Poisson) and isinstance(Q, NegBinomial):
-        return _closed_form_poisson_negbinomial(P, Q)
-    return None
+    form = _CLOSED_FORMS.get((type(P), type(Q)))
+    return None if form is None else form(P, Q)
 
 
 # --- Bernoulli-convolution criteria -------------------------------------------
@@ -276,6 +276,16 @@ def _pad(vec: tuple, length: int) -> tuple:
     return vec + (zero,) * (length - len(vec))
 
 
+def _prefix_products_le(a, b) -> bool:
+    """True when every prefix product of a is at most that of b."""
+    prod_a = prod_b = Fraction(1)
+    for x, y in zip(a, b):
+        prod_a, prod_b = prod_a * x, prod_b * y
+        if prod_a > prod_b:
+            return False
+    return True
+
+
 def bc_sufficient(p_vec, q_vec) -> BcSufficiency:
     """Product criteria sufficient for BC_p <= BC_q (stochastic order).
 
@@ -286,20 +296,8 @@ def bc_sufficient(p_vec, q_vec) -> BcSufficiency:
     q = _parse_bc_vector(q_vec)
     n = max(len(p), len(q))
     p, q = _pad(p, n), _pad(q, n)
-    head = True
-    prod_p = prod_q = Fraction(1)
-    for j in range(n):
-        prod_p, prod_q = prod_p * p[j], prod_q * q[j]
-        if prod_p > prod_q:
-            head = False
-            break
-    tail = True
-    prod_p = prod_q = Fraction(1)
-    for j in reversed(range(n)):
-        prod_p, prod_q = prod_p * (1 - p[j]), prod_q * (1 - q[j])
-        if prod_p < prod_q:
-            tail = False
-            break
+    head = _prefix_products_le(p, q)
+    tail = _prefix_products_le([1 - x for x in reversed(q)], [1 - x for x in reversed(p)])
     return BcSufficiency(head, tail)
 
 
@@ -325,6 +323,49 @@ def binomial_bc_criterion(q_vec, n: int, p, direction: str) -> bool:
         bc_mass_at_top = math.prod(q)
         return p**n <= bc_mass_at_top
     raise ValueError(f"unknown direction {direction!r}")
+
+
+@dataclass(frozen=True)
+class BcCriteria:
+    """The Bernoulli-convolution criteria of one pair, as (name, holds) pairs.
+
+    Each direction lists its criteria in order of preference; any that holds
+    proves that direction. With exact=True each direction has one criterion,
+    which characterizes it, so two failures rule out both directions.
+    """
+
+    forward: tuple  # criteria for P <= Q
+    backward: tuple  # criteria for Q <= P
+    exact: bool
+
+
+def _product_criteria(P: PoissonBinomial, Q: PoissonBinomial) -> BcCriteria:
+    def named(s: BcSufficiency) -> tuple:
+        return (("prefix_products", s.head_products_ok), ("suffix_products", s.tail_products_ok))
+
+    return BcCriteria(named(bc_sufficient(P.p_vec, Q.p_vec)), named(bc_sufficient(Q.p_vec, P.p_vec)), False)
+
+
+def _extreme_mass_criteria(bc: PoissonBinomial, binom: Binomial, bc_is_p: bool) -> Optional[BcCriteria]:
+    """The mass at 0 decides BC <= binomial and the mass at n the converse."""
+    if not 0 < binom.p < 1 or len(bc.p_vec) > binom.n:
+        return None
+    below = (("mass_at_zero", binomial_bc_criterion(bc.p_vec, binom.n, binom.p, "bc_le_binomial")),)
+    above = (("mass_at_top", binomial_bc_criterion(bc.p_vec, binom.n, binom.p, "binomial_le_bc")),)
+    return BcCriteria(below, above, True) if bc_is_p else BcCriteria(above, below, True)
+
+
+_BC_RULES = {
+    (PoissonBinomial, PoissonBinomial): _product_criteria,
+    (PoissonBinomial, Binomial): lambda P, Q: _extreme_mass_criteria(P, Q, True),
+    (Binomial, PoissonBinomial): lambda P, Q: _extreme_mass_criteria(Q, P, False),
+}
+
+
+def bc_criteria(P: DistributionSpec, Q: DistributionSpec) -> Optional[BcCriteria]:
+    """The Bernoulli-convolution criteria that apply to (P, Q), or None."""
+    rule = _BC_RULES.get((type(P), type(Q)))
+    return None if rule is None else rule(P, Q)
 
 
 # --- the decision pipeline ------------------------------------------------------
@@ -357,33 +398,16 @@ def _witnesses(P, Q, policy: OraclePolicy) -> Optional[Witnesses]:
 
 def _bc_stage(P, Q, policy):
     """Exact or sufficient Bernoulli-convolution verdicts, None if silent."""
-    if isinstance(P, PoissonBinomial) and isinstance(Q, PoissonBinomial):
-        fwd = bc_sufficient(P.p_vec, Q.p_vec)
-        if fwd.head_products_ok or fwd.tail_products_ok:
-            tag = "prefix_products" if fwd.head_products_ok else "suffix_products"
-            return OrderingVerdict(Relation.LE_ST, BernoulliConvolutionCertificate(tag))
-        bwd = bc_sufficient(Q.p_vec, P.p_vec)
-        if bwd.head_products_ok or bwd.tail_products_ok:
-            tag = "prefix_products" if bwd.head_products_ok else "suffix_products"
-            return OrderingVerdict(Relation.GE_ST, BernoulliConvolutionCertificate(tag, reversed=True))
+    criteria = bc_criteria(P, Q)
+    if criteria is None:
         return None
-    bc, binom, bc_is_p = None, None, True
-    if isinstance(P, PoissonBinomial) and isinstance(Q, Binomial):
-        bc, binom, bc_is_p = P, Q, True
-    elif isinstance(P, Binomial) and isinstance(Q, PoissonBinomial):
-        bc, binom, bc_is_p = Q, P, False
-    if bc is None or not 0 < binom.p < 1 or len(bc.p_vec) > binom.n:
+    directions = ((Relation.LE_ST, criteria.forward, False), (Relation.GE_ST, criteria.backward, True))
+    for relation, named, reverse in directions:
+        tag = next((name for name, holds in named if holds), None)
+        if tag is not None:
+            return OrderingVerdict(relation, BernoulliConvolutionCertificate(tag, reversed=reverse))
+    if not criteria.exact:
         return None
-    bc_le_b = binomial_bc_criterion(bc.p_vec, binom.n, binom.p, "bc_le_binomial")
-    b_le_bc = binomial_bc_criterion(bc.p_vec, binom.n, binom.p, "binomial_le_bc")
-    p_le_q = bc_le_b if bc_is_p else b_le_bc
-    q_le_p = b_le_bc if bc_is_p else bc_le_b
-    if p_le_q:
-        tag = "mass_at_zero" if bc_is_p else "mass_at_top"
-        return OrderingVerdict(Relation.LE_ST, BernoulliConvolutionCertificate(tag))
-    if q_le_p:
-        tag = "mass_at_top" if bc_is_p else "mass_at_zero"
-        return OrderingVerdict(Relation.GE_ST, BernoulliConvolutionCertificate(tag, reversed=True))
     return OrderingVerdict(
         Relation.INCOMPARABLE,
         BernoulliConvolutionCertificate("both_directions_fail"),
@@ -419,20 +443,16 @@ def decide(
     # (full scan) or a closed-form consecutive ratio (cap-independent
     # classification); truncated shapes of other pairs prove nothing
     shape_sound = joint_support(P, Q).finite or has_closed_ratio(P, Q)
-    if fwd is None and shape_sound:
-        try:
-            decision = hmlr_criterion(P, Q)
+    if shape_sound:
+        for ruled, A, B, relation in ((fwd, P, Q, Relation.LE_ST), (bwd, Q, P, Relation.GE_ST)):
+            if ruled is not None:
+                continue  # the closed form ruled this direction out
+            try:
+                decision = hmlr_criterion(A, B)
+            except (UnboundedProfile, UnsupportedPair):
+                continue
             if decision.member:
-                return OrderingVerdict(Relation.LE_ST, decision.certificate)
-        except (UnboundedProfile, UnsupportedPair):
-            pass
-    if bwd is None and shape_sound:
-        try:
-            decision = hmlr_criterion(Q, P)
-            if decision.member:
-                return OrderingVerdict(Relation.GE_ST, decision.certificate)
-        except (UnboundedProfile, UnsupportedPair):
-            pass
+                return OrderingVerdict(relation, decision.certificate)
 
     report = oracle_mod.dominance(P, Q, policy)
     mode = report.mode
@@ -463,22 +483,17 @@ def decide(
 # --- JSON rendering -------------------------------------------------------------
 
 
+def _conditions_to_json(conditions: tuple) -> list:
+    return [{"name": c.name, "holds": c.holds, "detail": c.detail} for c in conditions]
+
+
 def certificate_to_json(cert: Certificate) -> dict:
     if isinstance(cert, ClosedFormCertificate):
-        out = {
-            "kind": "closed_form",
-            "pair": cert.pair,
-            "conditions": [
-                {"name": c.name, "holds": c.holds, "detail": c.detail} for c in cert.conditions
-            ],
-        }
+        out = {"kind": "closed_form", "pair": cert.pair, "conditions": _conditions_to_json(cert.conditions)}
         if cert.reversed:
             out["reversed"] = True
         if cert.reverse_conditions:
-            out["reverse_conditions"] = [
-                {"name": c.name, "holds": c.holds, "detail": c.detail}
-                for c in cert.reverse_conditions
-            ]
+            out["reverse_conditions"] = _conditions_to_json(cert.reverse_conditions)
         return out
     if isinstance(cert, HmlrCertificate):
         return {

@@ -81,28 +81,11 @@ def _criterion_crossover() -> CheckResult:
 
 
 def _criterion_first_profile() -> list:
-    lam = {k: dist.pmf(_HYP_SMALL, k) / dist.pmf(_BIN_DECIMAL, k) for k in (0, 13, 17, 18)}
+    bands = {0: (4.2e-6, 0.05e-6), 13: (2.05, 0.005), 17: (0.997, 0.0005), 18: (1.006, 0.0005)}
+    lam = {k: dist.pmf(_HYP_SMALL, k) / dist.pmf(_BIN_DECIMAL, k) for k in bands}
     out = [
-        _result(
-            "criterion-2 lambda(0)",
-            _within(float(lam[0]), 4.2e-6, 0.05e-6),
-            f"lambda(0) = {float(lam[0]):.6g}",
-        ),
-        _result(
-            "criterion-2 lambda(13)",
-            _within(float(lam[13]), 2.05, 0.005),
-            f"lambda(13) = {float(lam[13]):.6g}",
-        ),
-        _result(
-            "criterion-2 lambda(17)",
-            _within(float(lam[17]), 0.997, 0.0005),
-            f"lambda(17) = {float(lam[17]):.6g}",
-        ),
-        _result(
-            "criterion-2 lambda(18)",
-            _within(float(lam[18]), 1.006, 0.0005),
-            f"lambda(18) = {float(lam[18]):.6g}",
-        ),
+        _result(f"criterion-2 lambda({k})", _within(float(lam[k]), *band), f"lambda({k}) = {float(lam[k]):.6g}")
+        for k, band in bands.items()
     ]
     d0 = float(dist.pmf(_HYP_SMALL, 0) - dist.pmf(_BIN_DECIMAL, 0))
     out.append(
@@ -220,82 +203,40 @@ def _grid_agreement(pairs, name, oracle_fn) -> CheckResult:
 
 
 def closed_form_grid_suite() -> list:
-    results = []
-    bins = _binomial_grid()
-    bin_views = [_cdf_view(s) for s in bins]
+    bins = [(s, _cdf_view(s)) for s in _binomial_grid()]
+    hyps = [(s, _cdf_view(s)) for s in _hypergeometric_grid()]
+    negbins, poissons = _negbinomial_grid(), _poisson_grid()
 
     def finite_oracle(P, Q, vp, vq):
         return _exact_relation(vp, vq)
 
-    pairs = [
-        (bins[i], bins[j], bin_views[i], bin_views[j])
-        for i in range(len(bins))
-        for j in range(len(bins))
-    ]
-    results.append(_grid_agreement(pairs, "criterion-4 binomial pairs", finite_oracle))
-
-    hyps = _hypergeometric_grid()
-    hyp_views = [_cdf_view(s) for s in hyps]
-    mismatch = None
-    checked = 0
-    for i, P in enumerate(hyps):
-        vp = hyp_views[i]
-        for j, Q in enumerate(hyps):
-            outcome = ordn.decide_closed_form(P, Q)
-            if outcome is None:
-                continue
-            checked += 1
-            relation = _exact_relation(vp, hyp_views[j])
-            if outcome.holds != (relation in (Relation.LE_ST, Relation.EQUAL)):
-                mismatch = f"{P} vs {Q}: closed form {outcome.holds}, oracle {relation.value}"
-                break
-        if mismatch:
-            break
-    results.append(
-        _result(
-            "criterion-4 hypergeometric pairs",
-            mismatch is None,
-            mismatch or f"{checked} applicable pairs agree with the oracle",
-        )
-    )
-
-    pairs = [
-        (H, B, vh, vb)
-        for H, vh in zip(hyps, hyp_views)
-        for B, vb in zip(bins, bin_views)
-    ]
-    results.append(
-        _grid_agreement(pairs, "criterion-4 hypergeometric-vs-binomial pairs", finite_oracle)
-    )
-    pairs = [
-        (B, H, vb, vh)
-        for B, vb in zip(bins, bin_views)
-        for H, vh in zip(hyps, hyp_views)
-        if B.n == H.n
-    ]
-    results.append(
-        _grid_agreement(pairs, "criterion-4 binomial-vs-hypergeometric pairs", finite_oracle)
-    )
-
     def truncated_oracle(P, Q, vp, vq):
         return dominance_truncated(P, Q, epsilon=1e-12).relation
 
-    negbins = _negbinomial_grid()
-    pairs = [(P, Q, None, None) for P in negbins for Q in negbins]
-    results.append(
-        _grid_agreement(pairs, "criterion-4 negbinomial pairs", truncated_oracle)
-    )
+    def finite(left, right):
+        return ((P, Q, vp, vq) for P, vp in left for Q, vq in right)
 
-    poissons = _poisson_grid()
-    pairs = [(B, L, None, None) for B in bins for L in poissons]
-    results.append(
-        _grid_agreement(pairs, "criterion-4 binomial-vs-poisson pairs", truncated_oracle)
-    )
-    pairs = [(L, N, None, None) for L in poissons for N in negbins]
-    results.append(
-        _grid_agreement(pairs, "criterion-4 poisson-vs-negbinomial pairs", truncated_oracle)
-    )
-    return results
+    def unbounded(left, right):
+        return ((P, Q, None, None) for P in left for Q in right)
+
+    same_n = ((B, H, vb, vh) for B, vb in bins for H, vh in hyps if B.n == H.n)
+    return [
+        _grid_agreement(finite(bins, bins), "criterion-4 binomial pairs", finite_oracle),
+        _grid_agreement(finite(hyps, hyps), "criterion-4 hypergeometric pairs", finite_oracle),
+        _grid_agreement(
+            finite(hyps, bins), "criterion-4 hypergeometric-vs-binomial pairs", finite_oracle
+        ),
+        _grid_agreement(same_n, "criterion-4 binomial-vs-hypergeometric pairs", finite_oracle),
+        _grid_agreement(unbounded(negbins, negbins), "criterion-4 negbinomial pairs", truncated_oracle),
+        _grid_agreement(
+            unbounded([s for s, _ in bins], poissons),
+            "criterion-4 binomial-vs-poisson pairs",
+            truncated_oracle,
+        ),
+        _grid_agreement(
+            unbounded(poissons, negbins), "criterion-4 poisson-vs-negbinomial pairs", truncated_oracle
+        ),
+    ]
 
 
 # --- coupling suite (criterion 5) --------------------------------------------------
@@ -321,72 +262,57 @@ def _coupling_case(name, samples_fn, spec1, spec2, n_samples) -> list:
 
 
 def couplings_suite(n_samples: int = 100_000) -> list:
+    # method, seed offset, sampler, its settings, and the two laws of a setting
+    methods = [
+        (
+            "explicit",
+            0,
+            cpl.binomial_explicit_coupling,
+            [(2, 0.5, 4, 1 - (0.5) ** 0.5), (3, 0.3, 5, 0.35), (2, 0.3, 6, 0.2)],
+            lambda n1, p1, n2, p2: (Binomial(n1, p1), Binomial(n2, p2)),
+        ),
+        (
+            "levy",
+            10,
+            cpl.levy_coupling,
+            [
+                (1, Fraction(3, 5), 1, Fraction(1, 2)),
+                (2, Fraction(7, 10), 1, Fraction(2, 5)),
+                (2, Fraction(4, 5), 1, Fraction(1, 2)),
+            ],
+            lambda r1, p1, r2, p2: (NegBinomial(Fraction(r1), p1), NegBinomial(Fraction(r2), p2)),
+        ),
+        (
+            "poissonize",
+            20,
+            cpl.binom_poisson_coupling,
+            [(3, 0.2, 1.0), (1, 0.5, 0.7), (5, 0.1, 0.6)],
+            lambda n, p, lam: (Binomial(n, p), Poisson(lam)),
+        ),
+        (
+            "quantile",
+            30,
+            cpl.quantile_coupling,
+            [
+                (_BIN_HALF, _HYP_SMALL),
+                (Binomial(2, Fraction(1, 4)), Binomial(3, Fraction(2, 5))),
+                (Hypergeometric(100, 100, 18), _HYP_SMALL),
+            ],
+            lambda P, Q: (P, Q),
+        ),
+    ]
     out = []
-    boundary_p2 = 1 - (0.5) ** 0.5
-    explicit_settings = [
-        (2, 0.5, 4, boundary_p2),
-        (3, 0.3, 5, 0.35),
-        (2, 0.3, 6, 0.2),
-    ]
-    for idx, (n1, p1, n2, p2) in enumerate(explicit_settings):
-        out.extend(
-            _coupling_case(
-                f"criterion-5 explicit[{idx}]",
-                lambda n, a=(n1, p1, n2, p2): cpl.binomial_explicit_coupling(
-                    a[0], a[1], a[2], a[3], seed=_COUPLING_SEED + idx, count=n
-                ),
-                Binomial(n1, p1),
-                Binomial(n2, p2),
-                n_samples,
+    for method, offset, sampler, settings, laws in methods:
+        for idx, args in enumerate(settings):
+            seed = _COUPLING_SEED + offset + idx
+            out.extend(
+                _coupling_case(
+                    f"criterion-5 {method}[{idx}]",
+                    lambda n: sampler(*args, seed=seed, count=n),
+                    *laws(*args),
+                    n_samples,
+                )
             )
-        )
-    levy_settings = [
-        (1, Fraction(3, 5), 1, Fraction(1, 2)),
-        (2, Fraction(7, 10), 1, Fraction(2, 5)),
-        (2, Fraction(4, 5), 1, Fraction(1, 2)),
-    ]
-    for idx, (r1, p1, r2, p2) in enumerate(levy_settings):
-        out.extend(
-            _coupling_case(
-                f"criterion-5 levy[{idx}]",
-                lambda n, a=(r1, p1, r2, p2): cpl.levy_coupling(
-                    a[0], a[1], a[2], a[3], seed=_COUPLING_SEED + 10 + idx, count=n
-                ),
-                NegBinomial(Fraction(r1), p1),
-                NegBinomial(Fraction(r2), p2),
-                n_samples,
-            )
-        )
-    poissonize_settings = [(3, 0.2, 1.0), (1, 0.5, 0.7), (5, 0.1, 0.6)]
-    for idx, (n, p, lam) in enumerate(poissonize_settings):
-        out.extend(
-            _coupling_case(
-                f"criterion-5 poissonize[{idx}]",
-                lambda m, a=(n, p, lam): cpl.binom_poisson_coupling(
-                    a[0], a[1], a[2], seed=_COUPLING_SEED + 20 + idx, count=m
-                ),
-                Binomial(n, p),
-                Poisson(lam),
-                n_samples,
-            )
-        )
-    quantile_settings = [
-        (_BIN_HALF, _HYP_SMALL),
-        (Binomial(2, Fraction(1, 4)), Binomial(3, Fraction(2, 5))),
-        (Hypergeometric(100, 100, 18), _HYP_SMALL),
-    ]
-    for idx, (P, Q) in enumerate(quantile_settings):
-        out.extend(
-            _coupling_case(
-                f"criterion-5 quantile[{idx}]",
-                lambda n, a=(P, Q): cpl.quantile_coupling(
-                    a[0], a[1], seed=_COUPLING_SEED + 30 + idx, count=n
-                ),
-                P,
-                Q,
-                n_samples,
-            )
-        )
     return out
 
 
@@ -431,17 +357,9 @@ def occupancy_suite() -> list:
     results = []
     push = {}
     for n in range(1, 9):
-        state = (Fraction(1),) + (Fraction(0),) * n
-        push[(n, 0)] = state
+        push[(n, 0)] = cpl.occupancy_pushforward(n, 0)
         for t in range(1, 31):
-            nxt = [Fraction(0)] * (n + 1)
-            for k, mass in enumerate(state):
-                if mass:
-                    nxt[k] += mass * Fraction(k, n)
-                    if k < n:
-                        nxt[k + 1] += mass * Fraction(n - k, n)
-            state = tuple(nxt)
-            push[(n, t)] = state
+            push[(n, t)] = cpl.occupancy_step(push[(n, t - 1)], n)
     bad = None
     for t in range(0, 31):
         for n in range(2, 9):
@@ -674,19 +592,7 @@ def available_suites() -> list:
 
 def run_suite(tag: str) -> list:
     if tag == "acceptance":
-        out = []
-        for name in (
-            "counterexamples",
-            "closed-form-grid",
-            "couplings",
-            "box-joint",
-            "occupancy",
-            "derivatives",
-            "levy",
-            "implication-chain",
-        ):
-            out.extend(SUITES[name]())
-        return out
+        return [check for suite in SUITES.values() for check in suite()]
     if tag not in SUITES:
         raise KeyError(tag)
     return SUITES[tag]()

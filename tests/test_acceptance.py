@@ -99,8 +99,23 @@ def test_corrected_figures_match_scipy():
     assert abs(lam_scipy - suites.LAMBDA_HALF_17) <= suites.LAMBDA_HALF_17_TOL
 
 
+GRID_PAIRS_CHECKED = {
+    "criterion-4 binomial pairs": 5184,
+    "criterion-4 hypergeometric pairs": 997480,
+    "criterion-4 hypergeometric-vs-binomial pairs": 87120,
+    "criterion-4 binomial-vs-hypergeometric pairs": 7632,
+    "criterion-4 negbinomial pairs": 2025,
+    "criterion-4 binomial-vs-poisson pairs": 1080,
+    "criterion-4 poisson-vs-negbinomial pairs": 675,
+}
+
+
 def test_criterion_04_closed_form_grid_equivalence():
-    _report(suites.closed_form_grid_suite())
+    results = suites.closed_form_grid_suite()
+    _report(results)
+    assert {c.name: c.detail for c in results} == {
+        name: f"{count} applicable pairs agree with the oracle" for name, count in GRID_PAIRS_CHECKED.items()
+    }
 
 
 def test_criterion_05_coupling_domination():
@@ -112,7 +127,12 @@ def test_criterion_06_box_pair_joint_exactness():
 
 
 def test_criterion_07_occupancy_chain():
-    _report(suites.occupancy_suite())
+    results = suites.occupancy_suite()
+    _report(results)
+    assert [c.detail for c in results] == [
+        "exact survival domination for all m < n <= 8, t <= 30",
+        "max abs deviation = 2.78e-14",
+    ]
 
 
 def test_criterion_08_derivative_identities():
@@ -120,7 +140,13 @@ def test_criterion_08_derivative_identities():
 
 
 def test_criterion_09_jump_measure_layer():
-    _report(suites.levy_suite())
+    results = suites.levy_suite()
+    _report(results)
+    assert [c.detail for c in results] == [
+        "max abs deviation = 0",
+        "max abs deviation = 3.55e-15",
+        "2025 pairs agree",
+    ]
 
 
 def test_criterion_10_implication_chain():

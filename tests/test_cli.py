@@ -1,4 +1,7 @@
 import json
+import pathlib
+
+import pytest
 
 from stochord import suites as suites_mod
 from stochord.cli import main
@@ -8,6 +11,11 @@ BIN_18 = '{"family":"binomial","n":18,"p":"1/2"}'
 HYP_SMALL = '{"family":"hypergeometric","B":21,"W":23,"n":22}'
 HYP_A = '{"family":"hypergeometric","B":400,"W":509,"n":500}'
 HYP_B = '{"family":"hypergeometric","B":310,"W":710,"n":700}'
+
+# argv, exit code and stdout of explain (every ordered family pair, plus the
+# Bernoulli-convolution pairs) and of couple (every method), as printed
+# before the families took over their own behaviour
+PINNED_CLI = json.loads((pathlib.Path(__file__).parent / "pinned_cli.json").read_text())
 
 
 def run_cli(capsys, *argv):
@@ -257,3 +265,54 @@ class TestOutputFile:
         assert code == 0
         lines = target.read_text().strip().splitlines()
         assert json.loads(lines[-1])["passed"] == 1
+
+
+@pytest.mark.parametrize(
+    "case", PINNED_CLI, ids=[f"{i}-{c['argv'][0]}" for i, c in enumerate(PINNED_CLI)]
+)
+def test_pinned_cli_output(case, capsys):
+    code, out, _ = run_cli(capsys, *case["argv"])
+    assert (code, out) == (case["code"], case["stdout"])
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ('{"family":"poisson_binomial","p":5}', "must be a list"),
+            ('{"family":"negbinomial","r":Infinity,"p":"1/2"}', "r must be positive and finite"),
+            ('{"family":"poisson","lambda":Infinity}', "lambda must be positive and finite"),
+        ],
+    )
+    def test_malformed_spec_is_exit_2(self, capsys, spec, message):
+        code, out, err = run_cli(capsys, "decide", spec, '{"family":"binomial","n":4,"p":"1/2"}')
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["decide", BIN_18, HYP_SMALL, "--k-cap", "-5"],
+            ["explain", BIN_18, HYP_SMALL, "--epsilon", "-1"],
+            ["oracle", BIN_18, HYP_SMALL, "--epsilon", "nan"],
+            ["explain", BIN_18, HYP_SMALL, "--profile-rows", "-2"],
+            ["couple", BIN_18, BIN_18, "--method", "quantile", "--samples", "-3"],
+        ],
+    )
+    def test_out_of_range_option_is_exit_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "must be nonnegative" in captured.err
+
+    def test_non_integer_option_keeps_its_message(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["decide", BIN_18, HYP_SMALL, "--k-cap", "x"])
+        assert "invalid int value: 'x'" in capsys.readouterr().err
+
+    def test_zero_is_in_range(self, capsys):
+        code, out, _ = run_cli(capsys, "decide", BIN_18, HYP_SMALL, "--k-cap", "0", "--epsilon", "0")
+        assert code == 0 and json.loads(out)["relation"] == "le_st"
+        code, out, _ = run_cli(capsys, "couple", BIN_18, BIN_18, "--method", "quantile", "--samples", "0")
+        assert code == 0 and json.loads(out)["n"] == 0
