@@ -1,9 +1,10 @@
 """Ground-truth dominance checking via survival-function comparison.
 
 P is stochastically below Q exactly when F_P(k) >= F_Q(k) for every k
-(equivalently S_P <= S_Q pointwise). One scan compares the two cdfs as
-integer ratios by cross-multiplication and yields the relation, the
-crossings and both witnesses together. On finite supports it is exact; on
+(equivalently S_P <= S_Q pointwise). One scan compares the two cdfs by
+their correctly rounded floats, falling back to the exact integer ratios
+where the floats tie, and yields the relation, the crossings and both
+witnesses together. On finite supports it is exact; on
 unbounded supports it runs to a cap and the remaining tail is either
 bounded by epsilon, or certified analytically when the pair's likelihood
 ratio has a closed-form monotone tail phase.
@@ -12,6 +13,7 @@ ratio has a closed-form monotone tail phase.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Union
@@ -62,33 +64,42 @@ class OraclePolicy:
 
 
 def _cdf_ratios(spec, lo, hi):
-    """(a, b) with F(k) = a/b exactly, for k = lo..hi (lo at most the support minimum).
+    """(f, a, b) with F(k) = a/b exactly and f = F(k) correctly rounded, for
+    k = lo..hi (lo at most the support minimum).
 
-    An exact spec sums its integer mass table over the table's denominator.
-    A float spec sums its float masses in mass_iter order, and the ratio is
-    that float sum's own exact value, so float cdfs round as they always did.
+    An exact spec sums its integer mass table over the table's denominator;
+    int / int true division rounds correctly, so f = a / b. A float spec
+    sums its float masses in mass_iter order; that sum is its cdf, so a and
+    b are None (f.as_integer_ratio() when needed) and float cdfs round as
+    they always did.
     """
     table = mass_table(spec)
     if table is None:
         it = mass_iter(spec)
         head = next(it, None)
-        acc = 0
+        acc = 0.0
         for k in range(lo, hi + 1):
             if head is not None and head[0] == k:
-                acc = acc + head[1]
+                acc += head[1]
                 head = next(it, None)
-            yield acc.as_integer_ratio()
+            yield acc, None, None
         return
-    acc, den, step = 0, table.den, table.step
-    for k, num in zip(range(lo, hi + 1), table.row(lo, hi)):
-        if step != 1 and k > table.k_min:
+    k_min, den, step = table.k_min, table.den, table.step
+    ratio = (0.0, 0, den)
+    for _ in range(lo, min(k_min, hi + 1)):
+        yield ratio
+    acc, k = 0, k_min - 1
+    for k, num in zip(range(k_min, hi + 1), table.numerators()):
+        if step != 1 and k > k_min:
             acc, den = acc * step, den * step
         acc += num
-        yield acc, den
+        ratio = (acc / den, acc, den)
+        yield ratio
+    yield from itertools.repeat(ratio, hi - k)  # past a finite support
 
 
 def _paired_cdf_scan(P, Q, hi):
-    """Yield (k, F_P(k), F_Q(k)) for k from the joint minimum up to hi, as ratios."""
+    """Yield (k, F_P(k), F_Q(k)) for k from the joint minimum up to hi, as _cdf_ratios triples."""
     lo = joint_support(P, Q).k_min
     yield from zip(range(lo, hi + 1), _cdf_ratios(P, lo, hi), _cdf_ratios(Q, lo, hi))
 
@@ -103,23 +114,31 @@ class _Scan:
 
 
 def _survival_scan(P, Q, hi, *, saturate=False, until_witnesses=False) -> _Scan:
-    """One pass of F_P - F_Q over the joint minimum..hi, by cross-multiplication.
+    """One pass of F_P - F_Q over the joint minimum..hi.
 
-    With saturate, the pass stops where a float cdf leaves both cdfs within
-    1e-15 of 1 (deeper differences are rounding noise). With
-    until_witnesses, it stops once both strict signs have been seen.
+    Correct rounding is monotone, so two floats that differ order the exact
+    cdfs the same way; only equal floats fall back to cross-multiplying the
+    exact ratios. With saturate, the pass stops where a float cdf leaves
+    both cdfs within 1e-15 of 1 (deeper differences are rounding noise).
+    With until_witnesses, it stops once both strict signs have been seen.
     """
     floats = saturate and (mass_table(P) is None or mass_table(Q) is None)
     crossings = []
     prev = 0
     above = below = None
     end = joint_support(P, Q).k_min - 1
-    a, b, c, d = 0, 1, 0, 1
-    for k, (a, b), (c, d) in _paired_cdf_scan(P, Q, hi):
-        if floats and (1.0 - a / b) + (1.0 - c / d) < 1e-15:
+    fp = fq = 0.0
+    for k, (fp, a, b), (fq, c, d) in _paired_cdf_scan(P, Q, hi):
+        if floats and (1.0 - fp) + (1.0 - fq) < 1e-15:
             break
         end = k
-        sign = cross_sign(a, b, c, d)
+        sign = (fp > fq) - (fp < fq)
+        if not sign:
+            if a is None:
+                a, b = fp.as_integer_ratio()
+            if c is None:
+                c, d = fq.as_integer_ratio()
+            sign = cross_sign(a, b, c, d)
         if sign:
             if prev and sign != prev:
                 crossings.append(k)
@@ -130,7 +149,7 @@ def _survival_scan(P, Q, hi, *, saturate=False, until_witnesses=False) -> _Scan:
                 below = k
             if until_witnesses and above is not None and below is not None:
                 break
-    tail_bound = max(0.0, 1.0 - a / b) + max(0.0, 1.0 - c / d)
+    tail_bound = max(0.0, 1.0 - fp) + max(0.0, 1.0 - fq)
     return _Scan(tuple(crossings), above, below, end, tail_bound)
 
 

@@ -36,7 +36,7 @@ from .errors import (
     UnsupportedPair,
 )
 from .exact import format_scalar, parse_scalar, scalar_pow, scalar_to_json
-from .likelihood import HmlrCertificate, has_closed_ratio, hmlr_criterion
+from .likelihood import HmlrCertificate, has_closed_ratio, hmlr_criterion, tail_conditions
 from .oracle import OraclePolicy, Relation
 
 
@@ -271,17 +271,18 @@ def _parse_bc_vector(vec) -> tuple:
     return spec.p_vec
 
 
-def _pad(vec: tuple, length: int) -> tuple:
-    zero = Fraction(0)
-    return vec + (zero,) * (length - len(vec))
+def _ratios(vec: tuple, length: int) -> list:
+    """Each entry as (numerator, denominator), zero-padded to a common length."""
+    return [x.as_integer_ratio() for x in vec] + [(0, 1)] * (length - len(vec))
 
 
 def _prefix_products_le(a, b) -> bool:
-    """True when every prefix product of a is at most that of b."""
-    prod_a = prod_b = Fraction(1)
-    for x, y in zip(a, b):
-        prod_a, prod_b = prod_a * x, prod_b * y
-        if prod_a > prod_b:
+    """True when every prefix product of a is at most that of b, for
+    entries given as (numerator, denominator) pairs."""
+    num_a = den_a = num_b = den_b = 1
+    for (x, dx), (y, dy) in zip(a, b):
+        num_a, den_a, num_b, den_b = num_a * x, den_a * dx, num_b * y, den_b * dy
+        if num_a * den_b > num_b * den_a:
             return False
     return True
 
@@ -295,9 +296,9 @@ def bc_sufficient(p_vec, q_vec) -> BcSufficiency:
     p = _parse_bc_vector(p_vec)
     q = _parse_bc_vector(q_vec)
     n = max(len(p), len(q))
-    p, q = _pad(p, n), _pad(q, n)
+    p, q = _ratios(p, n), _ratios(q, n)
     head = _prefix_products_le(p, q)
-    tail = _prefix_products_le([1 - x for x in reversed(q)], [1 - x for x in reversed(p)])
+    tail = _prefix_products_le([(d - x, d) for x, d in reversed(q)], [(d - x, d) for x, d in reversed(p)])
     return BcSufficiency(head, tail)
 
 
@@ -306,22 +307,24 @@ def binomial_bc_criterion(q_vec, n: int, p, direction: str) -> bool:
 
     direction "bc_le_binomial" decides BC_q <= b_{n,p} via the mass at 0;
     "binomial_le_bc" decides b_{n,p} <= BC_q via the mass at n. Both are
-    equivalences, not just sufficiency.
+    equivalences, not just sufficiency. With p = a/b and q_j = a_j/b_j the
+    masses compare in integers: (1-p)^n <= prod(1-q_j) is
+    (b-a)^n prod(b_j) <= prod(b_j-a_j) b^n, and p^n <= prod(q_j) is
+    a^n prod(b_j) <= prod(a_j) b^n (zero padding makes the top mass 0).
     """
     q = _parse_bc_vector(q_vec)
-    if len(q) < n:
-        q = _pad(q, n)
-    if len(q) != n:
+    if len(q) > n:
         raise LengthMismatch(f"q_vec has {len(q)} entries but the binomial has n={n}")
     p = parse_scalar(p)
     if not 0 < p < 1:
         raise InvalidSpec(f"p must lie strictly in (0,1), got {p}")
+    a, b = p.as_integer_ratio()
+    q = _ratios(q, n)
+    dens = math.prod(d for _, d in q)
     if direction == "bc_le_binomial":
-        bc_mass_at_zero = math.prod((1 - qj) for qj in q)
-        return (1 - p) ** n <= bc_mass_at_zero
+        return (b - a) ** n * dens <= math.prod(d - x for x, d in q) * b**n
     if direction == "binomial_le_bc":
-        bc_mass_at_top = math.prod(q)
-        return p**n <= bc_mass_at_top
+        return a**n * dens <= math.prod(x for x, _ in q) * b**n
     raise ValueError(f"unknown direction {direction!r}")
 
 
@@ -448,6 +451,11 @@ def decide(
             if ruled is not None:
                 continue  # the closed form ruled this direction out
             try:
+                # membership needs both O(1) tail conditions; only then is
+                # the profile scan worth its cost
+                tails = tail_conditions(A, B)
+                if not (tails.left_holds and tails.right_holds):
+                    continue
                 decision = hmlr_criterion(A, B)
             except (UnboundedProfile, UnsupportedPair):
                 continue

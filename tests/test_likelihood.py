@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stochord import (
     Binomial,
@@ -16,11 +18,13 @@ from stochord import (
     consecutive_ratio,
     hmlr_criterion,
     is_lr_ordered,
+    joint_support,
     likelihood_profile,
     lr_two_point_check,
     pmf,
     tail_conditions,
 )
+from stochord.likelihood import has_closed_ratio
 half = Fraction(1, 2)
 HYP_SMALL = Hypergeometric(21, 23, 22)
 BIN_DECIMAL = Binomial(18, Fraction(5106, 10000))
@@ -237,3 +241,37 @@ class TestLrOrder:
                 )
                 if overlap or (size_ok and right):
                     assert likelihood_profile(P, Q).shape is not Shape.NOT_HALF_MONOTONE, (P, Q)
+
+
+# every family with boundary parameters; any pair with a finite joint
+# support or a closed-form consecutive ratio reaches the HMLR stage
+_probs = st.fractions(min_value=Fraction(1, 50), max_value=Fraction(49, 50), max_denominator=60)
+_edge_probs = st.sampled_from([Fraction(0), Fraction(1)]) | _probs
+_specs = st.one_of(
+    st.builds(Binomial, st.integers(1, 20), _edge_probs),
+    st.tuples(st.integers(0, 15), st.integers(0, 15))
+    .filter(lambda bw: sum(bw) > 0)
+    .flatmap(lambda bw: st.builds(Hypergeometric, st.just(bw[0]), st.just(bw[1]), st.integers(1, sum(bw)))),
+    st.lists(_edge_probs, min_size=1, max_size=6).map(lambda ps: PoissonBinomial(tuple(sorted(ps, reverse=True)))),
+    st.builds(
+        NegBinomial,
+        st.integers(1, 5).map(Fraction) | st.just(Fraction(5, 2)),
+        st.sampled_from([Fraction(1)]) | st.fractions(min_value=Fraction(1, 4), max_value=Fraction(19, 20), max_denominator=40),
+    ),
+    st.builds(Poisson, st.fractions(min_value=Fraction(1, 4), max_value=Fraction(6), max_denominator=8)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_specs, _specs)
+def test_hmlr_membership_needs_both_tail_conditions(P, Q):
+    # decide checks the tail conditions first and scans only when both hold
+    if not (joint_support(P, Q).finite or has_closed_ratio(P, Q)):
+        return
+    try:
+        decision = hmlr_criterion(P, Q)
+    except (UnboundedProfile, UnsupportedPair):
+        return
+    if decision.member:
+        tails = tail_conditions(P, Q)
+        assert tails.left_holds and tails.right_holds

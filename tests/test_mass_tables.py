@@ -278,6 +278,56 @@ def test_mixed_profile_values_match_reference(P, Q, k_cap, swap):
     assert likelihood_profile(P, Q, k_cap).values == expected
 
 
+# --- the float order of the scan ----------------------------------------------------
+
+
+def _step_sign(p, q):
+    """The sign _survival_scan gives one step whose cdfs arrive as p and q."""
+    spec = Binomial(1, Fraction(1, 2))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle_mod, "_paired_cdf_scan", lambda P, Q, hi: iter([(0, p, q)]))
+        scan = oracle_mod._survival_scan(spec, spec, 0)
+    return (scan.first_above is not None) - (scan.first_below is not None)
+
+
+wide_ints = st.integers(1, 5) | st.integers(1, 2**64) | st.integers(1, 2**10000)
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_ints, st.integers(0, 2**32), wide_ints, st.integers(0, 2**32), st.integers(2, 2**3000))
+def test_float_order_sign_matches_cross_sign(b, x, d, y, scale):
+    # random ratios in [0, 1], equal ratios in different terms, and ratios
+    # 1/(b*d) apart, each as _cdf_ratios yields it: (a / b, a, b)
+    a, c = b * x >> 32, d * y >> 32
+    pairs = [((a, b), (c, d)), ((a * scale, b * scale), (a, b)), ((a * d, b * d), (a * d + 1, b * d))]
+    if a:
+        pairs.append(((a * d - 1, b * d), (a, b)))
+    for (a1, b1), (c1, d1) in pairs:
+        if a1 > b1 or c1 > d1:
+            continue
+        for (u, v), (w, z) in [((a1, b1), (c1, d1)), ((c1, d1), (a1, b1))]:
+            assert _step_sign((u / v, u, v), (w / z, w, z)) == cross_sign(u, v, w, z)
+            # a float cdf arrives without its ratio, which is its own exact value
+            g = w / z
+            assert _step_sign((u / v, u, v), (g, None, None)) == cross_sign(u, v, *g.as_integer_ratio())
+
+
+def test_scan_falls_back_to_exact_ratios_where_floats_tie(monkeypatch):
+    # the two cdfs agree beyond 53 bits at most k, so the floats tie there
+    P, Q = Binomial(40, Fraction(1, 3)), Binomial(40, Fraction(1, 3) + Fraction(1, 10**30))
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return cross_sign(*args)
+
+    monkeypatch.setattr(oracle_mod, "cross_sign", counted)
+    assert scan_result(P, Q, 40) == ref_scan(P, Q, 0, 40)
+    assert scan_result(Q, P, 40) == ref_scan(Q, P, 0, 40)
+    assert len(calls) > 20
+    assert ref_scan(P, Q, 0, 40)[0] == Relation.LE_ST
+
+
 # --- pinned outputs -----------------------------------------------------------------------
 
 
@@ -292,6 +342,22 @@ def test_pinned_verdicts(case, capsys):
     code = main(["decide", json.dumps(case["P"]), json.dumps(case["Q"]), *cap_args])
     assert code == 0
     assert capsys.readouterr().out == json.dumps(case["verdict"], sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("case", PINNED, ids=lambda c: f"{c['P']['family']}-{c['Q']['family']}")
+def test_pinned_verdicts_serialise_as_plain_json(case):
+    # indices are plain ints and no value is a Fraction or a NaN, so the
+    # verdict's JSON is valid wherever a verdict is written
+    P, Q = spec_from_json(case["P"]), spec_from_json(case["Q"])
+    verdict = decide(P, Q, OraclePolicy(k_cap=case.get("k_cap")))
+    cert = verdict.certificate
+    indices = list(getattr(cert, "crossings", ()))
+    if verdict.witnesses is not None:
+        indices += [verdict.witnesses.k_minus, verdict.witnesses.k_plus]
+    if getattr(cert, "turning_index", None) is not None:
+        indices.append(cert.turning_index)
+    assert all(type(k) is int for k in indices), indices
+    assert json.loads(json.dumps(verdict_to_json(verdict), allow_nan=False)) == case["verdict"]
 
 
 # --- regressions -----------------------------------------------------------------------------

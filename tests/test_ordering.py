@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stochord import (
     Binomial,
@@ -25,6 +27,8 @@ from stochord import (
     survival,
     verdict_to_json,
 )
+from stochord import likelihood as lik_mod
+from stochord import ordering as ordering_mod
 from stochord.ordering import (
     BernoulliConvolutionCertificate,
     ClosedFormCertificate,
@@ -288,3 +292,84 @@ class TestVerdictJson:
         assert payload["certificate"]["kind"] == "closed_form"
         assert payload["certificate"]["pair"] == "binomial_binomial"
         assert payload["witnesses"] is None
+
+
+# --- Bernoulli-convolution criteria against the Fraction products ----------------
+
+
+def fraction_bc_sufficient(p, q):
+    """(prefix products of p <= those of q, suffix products of 1-q <= those of 1-p)."""
+    n = max(len(p), len(q))
+    p, q = p + (Fraction(0),) * (n - len(p)), q + (Fraction(0),) * (n - len(q))
+
+    def prefix_le(a, b):
+        prod_a = prod_b = Fraction(1)
+        for x, y in zip(a, b):
+            prod_a, prod_b = prod_a * x, prod_b * y
+            if prod_a > prod_b:
+                return False
+        return True
+
+    return prefix_le(p, q), prefix_le([1 - x for x in reversed(q)], [1 - x for x in reversed(p)])
+
+
+def fraction_bc_binomial(q, n, p):
+    """(BC_q <= b_{n,p} by the mass at 0, b_{n,p} <= BC_q by the mass at n)."""
+    q = q + (Fraction(0),) * (n - len(q))
+    return (1 - p) ** n <= math.prod(1 - x for x in q), p**n <= math.prod(q)
+
+
+bc_probs = st.sampled_from([Fraction(0), Fraction(1)]) | st.fractions(
+    min_value=Fraction(0), max_value=Fraction(1), max_denominator=10**4
+)
+bc_vectors = st.lists(bc_probs, min_size=1, max_size=12).map(lambda ps: tuple(sorted(ps, reverse=True)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(bc_vectors, bc_vectors)
+def test_bc_products_match_fraction_products(p, q):
+    out = bc_sufficient(p, q)
+    assert (out.head_products_ok, out.tail_products_ok) == fraction_bc_sufficient(p, q)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    bc_vectors,
+    st.integers(0, 4),
+    st.fractions(min_value=Fraction(1, 10**4), max_value=1 - Fraction(1, 10**4), max_denominator=10**4),
+)
+def test_bc_extreme_masses_match_fraction_products(q, extra, p):
+    n = len(q) + extra
+    expected = fraction_bc_binomial(q, n, p)
+    got = binomial_bc_criterion(q, n, p, "bc_le_binomial"), binomial_bc_criterion(q, n, p, "binomial_le_bc")
+    assert got == expected
+    # the mass at zero tied exactly: (1-p)^n is the product of n entries 1-p
+    assert binomial_bc_criterion((p,) * n, n, p, "bc_le_binomial")
+    assert binomial_bc_criterion((p,) * n, n, p, "binomial_le_bc")
+
+
+# --- the HMLR stage ----------------------------------------------------------------
+
+
+def test_decide_scans_the_profile_only_when_both_tail_conditions_hold(monkeypatch):
+    calls = []
+    hmlr = ordering_mod.hmlr_criterion
+
+    def counted(A, B):
+        calls.append((A, B))
+        return hmlr(A, B)
+
+    monkeypatch.setattr(ordering_mod, "hmlr_criterion", counted)
+    # neither direction of this pair passes both tail conditions
+    P, Q = NegBinomial(Fraction(3), Fraction(1, 3)), Poisson(Fraction(6))
+    assert decide(P, Q).relation == Relation.INCOMPARABLE
+    assert calls == []
+    for A, B in [(P, Q), (Q, P)]:
+        tails = lik_mod.tail_conditions(A, B)
+        assert not (tails.left_holds and tails.right_holds)
+    # with no closed form for P <= Q, both tail conditions hold and the scan decides
+    P, Q = Binomial(5, Fraction(1, 5)), Hypergeometric(10, 10, 8)
+    verdict = decide(P, Q)
+    assert calls == [(P, Q)]
+    assert verdict.relation == Relation.LE_ST
+    assert verdict.certificate.turning_index is None and verdict.certificate.right_value == 0
