@@ -17,8 +17,10 @@ below are the public surface and dispatch to it.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -58,14 +60,20 @@ class MassTable:
     numerator it grows. Any other table keeps only what sequential reads
     add while it fits that bound, and scans walk the recurrence past what
     it holds, so a long scan holds one numerator at a time.
+
+    An unbounded table also has a closed form, so no read walks from k_min
+    to a far k: closed(k) gives the numerators of the cdf and of the mass at
+    k over den_at(k), and den_at(k), at about the cost of `reach` steps of
+    the recurrence.
     """
 
-    __slots__ = ("k_min", "k_max", "nums", "den", "step", "keep", "_next")
+    __slots__ = ("k_min", "k_max", "nums", "den", "step", "keep", "_next", "_closed", "_reach")
 
-    def __init__(self, k_min, k_max, nums, den, step=1, next_mass=None):
+    def __init__(self, k_min, k_max, nums, den, step=1, next_mass=None, closed=None, reach=0):
         self.k_min, self.k_max, self.nums, self.den, self.step = k_min, k_max, nums, den, step
         self.keep = k_max != INF and (k_max - k_min + 1) * den.bit_length() <= _KEEP_BITS
         self._next = next_mass  # (k, numerator at k) -> numerator at k + 1
+        self._closed, self._reach = closed, reach
 
     def numerators(self):
         """Yield the numerators from k_min upward."""
@@ -96,7 +104,60 @@ class MassTable:
                 nums.append(self._next(self.k_min + len(nums) - 1, nums[-1]))
         if i < len(nums):
             return nums[i]
+        if self._closed is not None:
+            return self._closed(k)[1]
         return next(itertools.islice(self.numerators(), i, None))
+
+    def cdf_reader(self):
+        """A function k -> (f, a, b) with F(k) = a/b exactly, for any k, and
+        f = a / b, which int / int true division rounds correctly.
+
+        A finite table keeps its running numerator sums up to the furthest
+        k read; from k_max on F is den/den, as every finite table sums to
+        its denominator. An unbounded table walks its recurrence from the
+        nearest k read below when that is at most `reach` steps back, and
+        evaluates its closed form otherwise. What the reader holds lives as
+        long as the reader.
+        """
+        k_min, k_max, den = self.k_min, self.k_max, self.den
+        zero, one = (0.0, 0, den), (1.0, den, den)
+        if k_max != INF:
+            sums, cums = [], itertools.accumulate(self.numerators())
+
+            def read(k):
+                if k < k_min:
+                    return zero
+                if k >= k_max:
+                    return one
+                while len(sums) <= k - k_min:
+                    sums.append(next(cums))
+                a = sums[k - k_min]
+                return a / den, a, den
+
+            return read
+        step, reach, read_ks, states = self.step, self._reach, [], {}  # k -> (cdf, mass, den)
+
+        def read(k):
+            if k < k_min:
+                return zero
+            state = states.get(k)
+            if state is None:
+                i = bisect.bisect_left(read_ks, k)
+                if i and k - read_ks[i - 1] <= reach:
+                    j = read_ks[i - 1]
+                    acc, num, d = states[j]
+                    for j in range(j, k):
+                        num = self._next(j, num)
+                        acc, d = acc * step + num, d * step
+                    state = acc, num, d
+                else:
+                    state = self._closed(k)
+                states[k] = state
+                bisect.insort(read_ks, k)
+            a, _, b = state
+            return a / b, a, b
+
+        return read
 
     def den_at(self, k: int) -> int:
         return self.den if self.step == 1 else self.den * self.step ** (k - self.k_min)
@@ -113,6 +174,25 @@ class MassTable:
 
 
 # --- the families -----------------------------------------------------------------
+
+
+def _spec_class(cls):
+    """A frozen dataclass whose hash is computed once per spec.
+
+    Every mass_table lookup hashes the spec, and a Poisson-binomial hashes
+    each of its up to 60 Fraction entries. The value is the dataclass's own.
+    """
+    cls = dataclass(frozen=True)(cls)
+    field_hash = cls.__hash__
+
+    def __hash__(self):
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = self.__dict__["_hash"] = field_hash(self)
+        return cached
+
+    cls.__hash__ = __hash__
+    return cls
 
 
 class Family:
@@ -136,6 +216,10 @@ class Family:
         """The exact mass table, or None when the masses are floats."""
         return None
 
+    def float_pmfs(self, lo: int):
+        """Yield float_pmf(k) for k = lo, lo + 1, ..."""
+        return map(self.float_pmf, itertools.count(lo))
+
     def float_masses(self, table: Optional[MassTable]):
         """Yield (k, float P({k})) from the support minimum upward."""
         if table is not None:
@@ -147,7 +231,7 @@ class Family:
             yield k, self.float_pmf(k)
 
 
-@dataclass(frozen=True)
+@_spec_class
 class Binomial(Family):
     """Number of successes in n independent trials with success chance p."""
 
@@ -213,7 +297,7 @@ class Binomial(Family):
         return cls(_require_int(obj, "n"), parse_scalar(obj["p"]))
 
 
-@dataclass(frozen=True)
+@_spec_class
 class NegBinomial(Family):
     """Number of failures before the r-th success (Pascal distribution)."""
 
@@ -245,23 +329,44 @@ class NegBinomial(Family):
         if not self.integer_r:
             return None
         r, a, b = int(self.r), self.p.numerator, self.p.denominator
-        c = b - a  # C(r+k-1, k) a^r c^k over b^(r+k)
-        return MassTable(0, INF, [a**r], b**r, b, lambda k, m: m * c * (r + k) // (k + 1))
+        c, a_r = b - a, a**r  # C(r+k-1, k) a^r c^k over b^(r+k)
+
+        def closed(k):
+            # F(k) = P(Bin(r+k, p) >= r) = 1 - sum_{j<r} C(r+k, j) a^j c^(r+k-j) / b^(r+k),
+            # the sum in homogeneous Horner form: O(r) operations, not O(k)
+            n = r + k
+            acc, coef, a_j = 0, 1, 1
+            for j in range(r):
+                acc = acc * c + coef * a_j
+                coef, a_j = coef * (n - j) // (j + 1), a_j * a
+            c_k, b_n = c**k, b**n
+            return b_n - acc * c_k * c, math.comb(n - 1, k) * a_r * c_k, b_n
+
+        return MassTable(0, INF, [a_r], b**r, b, lambda k, m: m * c * (r + k) // (k + 1), closed, r + 16)
 
     def float_pmf(self, k: int) -> float:
         """Float mass, for a float p or a non-integer r."""
+        return next(self.float_pmfs(k))
+
+    def float_pmfs(self, lo: int):
+        """float_pmf(k) for k = lo, lo + 1, ...; an exact r carries C(r+k-1, k)
+        from k - 1 to k, so a run of masses costs one product per k."""
         r, p = self.r, self.p
-        if k < 0:
-            return 0.0
+        for k in range(lo, 0):
+            yield 0.0
         if p == 1:
-            return 1.0 if k == 0 else 0.0
-        if isinstance(r, Fraction):  # C(r+k-1, k) as an exact rising-factorial product
-            coef = Fraction(1)
-            for l in range(1, k + 1):
-                coef *= Fraction(r + l - 1, l)
-        else:
-            coef = math.exp(math.lgamma(r + k) - math.lgamma(r) - math.lgamma(k + 1))
-        return float(coef) * float(p) ** float(r) * float(1 - p) ** k
+            yield from (1.0 if k == 0 else 0.0 for k in itertools.count(max(lo, 0)))
+            return
+        if not isinstance(r, Fraction):
+            for k in itertools.count(max(lo, 0)):
+                coef = math.exp(math.lgamma(r + k) - math.lgamma(r) - math.lgamma(k + 1))
+                yield coef * float(p) ** float(r) * float(1 - p) ** k
+            return
+        coef = Fraction(1)  # C(r+k-1, k) as an exact rising-factorial product
+        for k in itertools.count(1):
+            if k > lo:
+                yield float(coef) * float(p) ** float(r) * float(1 - p) ** (k - 1)
+            coef *= Fraction(r + k - 1, k)
 
     def float_masses(self, table: Optional[MassTable]):
         if self.p == 1:
@@ -274,8 +379,10 @@ class NegBinomial(Family):
         while True:
             if mass > 0:
                 yield k, mass
-            elif table is None:
-                yield k, self.float_pmf(k)
+            elif table is None:  # float_pmf from here on, its coefficient carried
+                if exact is None:
+                    exact = self.float_pmfs(k)
+                yield k, next(exact)
             else:  # read the float of each exact mass from here on
                 if exact is None:
                     exact, den = itertools.islice(table.numerators(), k, None), table.den_at(k)
@@ -296,7 +403,7 @@ class NegBinomial(Family):
         return cls(parse_scalar(obj["r"]), parse_scalar(obj["p"]))
 
 
-@dataclass(frozen=True)
+@_spec_class
 class Hypergeometric(Family):
     """Black balls drawn when sampling n without replacement from B+W."""
 
@@ -340,7 +447,7 @@ class Hypergeometric(Family):
         return cls(_require_int(obj, "B"), _require_int(obj, "W"), _require_int(obj, "n"))
 
 
-@dataclass(frozen=True)
+@_spec_class
 class Poisson(Family):
     lam: Scalar
     family = "poisson"
@@ -381,7 +488,7 @@ class Poisson(Family):
         return cls(parse_scalar(obj["lambda"]))
 
 
-@dataclass(frozen=True)
+@_spec_class
 class PoissonBinomial(Family):
     """Sum of independent Bernoulli(p_i) with p_vec sorted nonincreasing."""
 
@@ -514,11 +621,6 @@ def pmf(spec: DistributionSpec, k: int) -> Scalar:
     return spec.float_pmf(k)
 
 
-def float_pmf(spec: DistributionSpec, k: int) -> float:
-    """P({k}) of a spec without an exact mass table."""
-    return spec.float_pmf(k)
-
-
 def _finite_cdf_table(spec: DistributionSpec) -> tuple:
     return _finite_cdf_table_cached(spec, spec.exactness())
 
@@ -552,10 +654,8 @@ def cdf(spec: DistributionSpec, k: int) -> Scalar:
         return table[k - bounds.k_min]
     table = mass_table(spec)
     if table is not None:
-        acc = 0
-        for num in itertools.islice(table.numerators(), k - table.k_min + 1):
-            acc = acc * table.step + num  # the running sum over den * step**k
-        return Fraction(acc, table.den_at(k))
+        _, a, b = table.cdf_reader()(k)
+        return Fraction(a, b)
     return zero_like + sum(pmf(spec, j) for j in range(bounds.k_min, k + 1))
 
 
@@ -592,23 +692,21 @@ def mass_iter(spec: DistributionSpec, *, prefer_exact: bool = True):
     yield from spec.float_masses(table)
 
 
+def float_cdfs(spec: DistributionSpec, lo: int):
+    """Yield the running float sum of the spec's float masses (mass_iter with
+    prefer_exact=False, in its order) at k = lo, lo + 1, ..., where lo is at
+    most the support minimum; past a finite support the sum stays put."""
+    masses = map(operator.itemgetter(1), spec.float_masses(mass_table(spec)))
+    zeros = itertools.repeat(0.0, spec.support().k_min - lo)
+    return itertools.accumulate(itertools.chain(zeros, masses, itertools.repeat(0.0)))
+
+
 def tail_cap(P: DistributionSpec, Q: DistributionSpec, epsilon: float = 1e-12, hard_cap: int = 10**6) -> int:
     """Smallest k with S_P(k) + S_Q(k) < epsilon, capped at hard_cap."""
     js = joint_support(P, Q)
     if js.finite:
         return min(js.k_max, hard_cap)
-    fp = fq = 0.0
-    it_p = mass_iter(P, prefer_exact=False)
-    it_q = mass_iter(Q, prefer_exact=False)
-    head_p = next(it_p, None)
-    head_q = next(it_q, None)
-    for k in range(js.k_min, hard_cap):
-        if head_p is not None and head_p[0] == k:
-            fp += head_p[1]
-            head_p = next(it_p, None)
-        if head_q is not None and head_q[0] == k:
-            fq += head_q[1]
-            head_q = next(it_q, None)
+    for k, fp, fq in zip(range(js.k_min, hard_cap), float_cdfs(P, js.k_min), float_cdfs(Q, js.k_min)):
         if (1.0 - fp) + (1.0 - fq) < epsilon:
             return k + 1
     return hard_cap

@@ -13,6 +13,7 @@ truncation cap; those pairs (and their reverses) never need a cap.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,7 +27,6 @@ from .distributions import (
     NegBinomial,
     Poisson,
     SupportBounds,
-    float_pmf,
     joint_support,
     mass_table,
     pmf,
@@ -259,8 +259,7 @@ def _float_masses(spec, table, lo, hi):
     lo is at most the support minimum, as the joint minimum always is.
     """
     if table is None:
-        for k in range(lo, hi + 1):
-            mass = float_pmf(spec, k)
+        for mass in itertools.islice(spec.float_pmfs(lo), hi - lo + 1):
             yield mass == 0, mass
         return
     den = table.den

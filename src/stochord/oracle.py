@@ -1,10 +1,11 @@
 """Ground-truth dominance checking via survival-function comparison.
 
 P is stochastically below Q exactly when F_P(k) >= F_Q(k) for every k
-(equivalently S_P <= S_Q pointwise). One scan compares the two cdfs by
-their correctly rounded floats, falling back to the exact integer ratios
-where the floats tie, and yields the relation, the crossings and both
-witnesses together. On finite supports it is exact; on
+(equivalently S_P <= S_Q pointwise). One scan yields the relation, the
+crossings and both witnesses together. Both cdfs are nondecreasing, so it
+settles whole blocks of k from their ends, and it compares two cdf values
+by their correctly rounded floats, falling back to the exact integer
+ratios where the floats tie. On finite supports it is exact; on
 unbounded supports it runs to a cap and the remaining tail is either
 bounded by epsilon, or certified analytically when the pair's likelihood
 ratio has a closed-form monotone tail phase.
@@ -13,13 +14,12 @@ ratio has a closed-form monotone tail phase.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from . import likelihood
-from .distributions import DistributionSpec, joint_support, mass_iter, mass_table, tail_cap
+from .distributions import DistributionSpec, float_cdfs, joint_support, mass_table, tail_cap
 from .errors import InfiniteSupport, UnboundedProfile, UnsupportedPair
 from .exact import INF, cross_sign
 
@@ -63,45 +63,72 @@ class OraclePolicy:
     hard_cap: int = 10**6
 
 
-def _cdf_ratios(spec, lo, hi):
-    """(f, a, b) with F(k) = a/b exactly and f = F(k) correctly rounded, for
-    k = lo..hi (lo at most the support minimum).
+def _cdf_reader(spec):
+    """k -> (f, a, b) with F(k) = a/b exactly and f = F(k) correctly rounded.
 
-    An exact spec sums its integer mass table over the table's denominator;
-    int / int true division rounds correctly, so f = a / b. A float spec
-    sums its float masses in mass_iter order; that sum is its cdf, so a and
-    b are None (f.as_integer_ratio() when needed) and float cdfs round as
-    they always did.
+    An exact spec reads its table's cdf_reader. A float spec keeps its
+    float running sums (float_cdfs, in mass_iter order); that sum is its
+    cdf, so a and b are None (f.as_integer_ratio() when needed) and float
+    cdfs round as they always did. What a reader holds lives as long as
+    one scan.
     """
     table = mass_table(spec)
-    if table is None:
-        it = mass_iter(spec)
-        head = next(it, None)
-        acc = 0.0
-        for k in range(lo, hi + 1):
-            if head is not None and head[0] == k:
-                acc += head[1]
-                head = next(it, None)
-            yield acc, None, None
-        return
-    k_min, den, step = table.k_min, table.den, table.step
-    ratio = (0.0, 0, den)
-    for _ in range(lo, min(k_min, hi + 1)):
-        yield ratio
-    acc, k = 0, k_min - 1
-    for k, num in zip(range(k_min, hi + 1), table.numerators()):
-        if step != 1 and k > k_min:
-            acc, den = acc * step, den * step
-        acc += num
-        ratio = (acc / den, acc, den)
-        yield ratio
-    yield from itertools.repeat(ratio, hi - k)  # past a finite support
+    if table is not None:
+        return table.cdf_reader()
+    k_min = spec.support().k_min
+    sums, cdfs = [], float_cdfs(spec, k_min)
+
+    def read(k):
+        if k < k_min:
+            return 0.0, None, None
+        while len(sums) <= k - k_min:
+            sums.append(next(cdfs))
+        return sums[k - k_min], None, None
+
+    return read
 
 
-def _paired_cdf_scan(P, Q, hi):
-    """Yield (k, F_P(k), F_Q(k)) for k from the joint minimum up to hi, as _cdf_ratios triples."""
-    lo = joint_support(P, Q).k_min
-    yield from zip(range(lo, hi + 1), _cdf_ratios(P, lo, hi), _cdf_ratios(Q, lo, hi))
+def _paired_cdf_scan(cdf_p, cdf_q, ks):
+    """Yield (k, F_P(k), F_Q(k)) for each k of ks, as _cdf_reader triples."""
+    for k in ks:
+        yield k, cdf_p(k), cdf_q(k)
+
+
+def _order(x, y) -> int:
+    """The sign of X - Y for two cdf values given as (f, a, b) triples.
+
+    Correct rounding is monotone, so two floats that differ order the exact
+    values the same way; only equal floats cross-multiply the exact ratios.
+    """
+    (f, a, b), (g, c, d) = x, y
+    if f != g:
+        return 1 if f > g else -1
+    if a is None:
+        a, b = f.as_integer_ratio()
+    if c is None:
+        c, d = g.as_integer_ratio()
+    return cross_sign(a, b, c, d)
+
+
+def _block_sign(before, last, single) -> Optional[int]:
+    """The sign F_P - F_Q takes on all of a block k..j, from the (F_P, F_Q)
+    pairs at k - 1 and at j, or None when they do not settle it.
+
+    Both cdfs are nondecreasing, so F_P(k-1) > F_Q(j) makes the sign + on
+    the whole block and F_P(j) < F_Q(k-1) makes it -. When neither holds,
+    F_P(j) = F_Q(k-1) and F_Q(j) = F_P(k-1) pin both cdfs to one value on
+    k-1..j, and the sign is 0. A single k compares its own pair.
+    """
+    (p0, q0), (p1, q1) = before, last
+    if single:
+        return _order(p1, q1)
+    low = _order(p0, q1)
+    if low > 0:
+        return 1
+    high = _order(p1, q0)
+    if high < 0:
+        return -1
+    return 0 if low == high == 0 else None
 
 
 @dataclass(frozen=True)
@@ -114,31 +141,66 @@ class _Scan:
 
 
 def _survival_scan(P, Q, hi, *, saturate=False, until_witnesses=False) -> _Scan:
-    """One pass of F_P - F_Q over the joint minimum..hi.
+    """The signs of F_P - F_Q over the joint minimum..hi, block by block.
 
-    Correct rounding is monotone, so two floats that differ order the exact
-    cdfs the same way; only equal floats fall back to cross-multiplying the
-    exact ratios. With saturate, the pass stops where a float cdf leaves
-    both cdfs within 1e-15 of 1 (deeper differences are rounding noise).
-    With until_witnesses, it stops once both strict signs have been seen.
+    The scan gallops: a block whose ends settle its sign (_block_sign) is
+    passed whole and the next block may be twice as long; one that does not
+    is halved, down to a single k. It reads the cdfs only at block ends,
+    through _paired_cdf_scan, so the crossings, first signs and witnesses
+    are those of a pass over every k. With saturate, the window ends before
+    the first k where a float cdf leaves both cdfs within 1e-15 of 1
+    (deeper differences are rounding noise); that test is monotone in k, so
+    a gallop and a bisection find it. With until_witnesses, the scan stops
+    at the first k of the second strict sign.
     """
-    floats = saturate and (mass_table(P) is None or mass_table(Q) is None)
+    lo = joint_support(P, Q).k_min
+    cdf_p, cdf_q = _cdf_reader(P), _cdf_reader(Q)
+    points = {}
+
+    def at(k):
+        point = points.get(k)
+        if point is None:
+            _, fp, fq = next(_paired_cdf_scan(cdf_p, cdf_q, (k,)))
+            point = points[k] = (fp, fq)
+        return point
+
+    def saturated(k):
+        (fp, _, _), (fq, _, _) = at(k)
+        return (1.0 - fp) + (1.0 - fq) < 1e-15
+
+    stop = hi + 1  # the first k not compared
+    if saturate and (mass_table(P) is None or mass_table(Q) is None):
+        # gallop to a saturated k, then bisect back to the first one
+        first, probe = lo, lo
+        while probe <= hi and not saturated(probe):
+            first, probe = probe + 1, min(2 * probe - lo + 1, hi) if probe < hi else hi + 1
+        stop = probe
+        while first < stop:
+            mid = (first + stop) // 2
+            if saturated(mid):
+                stop = mid
+            else:
+                first = mid + 1
     crossings = []
     prev = 0
     above = below = None
-    end = joint_support(P, Q).k_min - 1
-    fp = fq = 0.0
-    for k, (fp, a, b), (fq, c, d) in _paired_cdf_scan(P, Q, hi):
-        if floats and (1.0 - fp) + (1.0 - fq) < 1e-15:
-            break
-        end = k
-        sign = (fp > fq) - (fp < fq)
-        if not sign:
-            if a is None:
-                a, b = fp.as_integer_ratio()
-            if c is None:
-                c, d = fq.as_integer_ratio()
-            sign = cross_sign(a, b, c, d)
+    end = max(stop, lo) - 1
+    last = min(stop, hi)  # the last k read: the saturated k, hi, or the witness stop
+    points[lo - 1] = ((0.0, 0, 1), (0.0, 0, 1))  # both cdfs are 0 below the joint minimum
+    # A block twice the size of the last is a trial. A failed trial doubles
+    # the patience, the number of blocks kept at the smaller size before the
+    # next trial, so where no block of 2 settles the trials thin out; a
+    # trial that settles resets it.
+    k, length, trial, wait, patience = lo, 1, False, 0, 1
+    while k < stop:
+        j = min(k + length, stop) - 1
+        sign = _block_sign(points[k - 1], at(j), j == k)
+        if sign is None:
+            if trial:
+                patience *= 2
+                wait = patience
+            length, trial = (j - k + 1) // 2, False
+            continue
         if sign:
             if prev and sign != prev:
                 crossings.append(k)
@@ -148,8 +210,18 @@ def _survival_scan(P, Q, hi, *, saturate=False, until_witnesses=False) -> _Scan:
             elif sign < 0 and below is None:
                 below = k
             if until_witnesses and above is not None and below is not None:
+                end = last = k
                 break
-    tail_bound = max(0.0, 1.0 - fp) + max(0.0, 1.0 - fq)
+        if trial:
+            patience = 1
+        trial = not wait
+        wait = max(wait - 1, 0)
+        length = (j - k + 1) * (2 if trial else 1)
+        k = j + 1
+    tail_bound = 2.0  # nothing read: (1 - 0) + (1 - 0)
+    if last >= lo:
+        (fp, _, _), (fq, _, _) = at(last)
+        tail_bound = max(0.0, 1.0 - fp) + max(0.0, 1.0 - fq)
     return _Scan(tuple(crossings), above, below, end, tail_bound)
 
 
@@ -183,17 +255,19 @@ def dominance_exact(P: DistributionSpec, Q: DistributionSpec) -> DominanceReport
     return DominanceReport(relation, scan.crossings, Exact(), witnesses)
 
 
-def _tail_certifies(P, Q, k_cap) -> bool:
+def _tail_certifies(P, Q, k_cap, pair_cap) -> bool:
     """True when lambda(k) <= 1 for every k > k_cap, by closed-form shape.
 
     Combined with F_P >= F_Q on [0, k_cap] this pins S_P <= S_Q everywhere:
     a final decreasing phase needs lambda(k_cap + 1) <= 1; a final
     increasing phase needs the limit of the survival ratio to stay <= 1.
+    pair_cap is tail_cap(P, Q) when the caller has it, else None; the shape
+    does not depend on it.
     """
     if not likelihood.has_closed_ratio(P, Q):
         return False
     try:
-        profile = likelihood.likelihood_profile(P, Q, with_values=False)
+        profile = likelihood.likelihood_profile(P, Q, pair_cap, with_values=False)
     except (UnboundedProfile, UnsupportedPair):
         return False
     if profile.turning_index is not None and profile.turning_index > k_cap:
@@ -271,10 +345,11 @@ def dominance_truncated(
     """
     rho = _survival_ratio_limit(P, Q)
     witness_hi = k_cap
+    pair_cap = None  # tail_cap(P, Q), computed once for every stage below that reads it
     if k_cap is None:
         k_cap = tail_cap(P, Q, epsilon, hard_cap)
         if (epsilon, hard_cap) == (1e-12, 10**6):
-            witness_hi = k_cap  # the default window of survival_witnesses
+            witness_hi = pair_cap = k_cap  # also the default window of survival_witnesses
         if rho == INF or rho == 0:
             # a far-tail flip may hide below epsilon; cover the analytic bound
             bound = _mass_flip_bound(P, Q, rho, hard_cap)
@@ -287,14 +362,14 @@ def dominance_truncated(
 
     certified = False
     if relation == Relation.LE_ST:
-        certified = _tail_certifies(P, Q, k_cap)
+        certified = _tail_certifies(P, Q, k_cap, pair_cap)
         if not certified and rho is not None and rho > 1:
             # analytically, S_P > S_Q far out; the window already has the
             # other strict sign, so the pair is certainly incomparable
             relation = Relation.INCOMPARABLE
             certified = True
     elif relation == Relation.GE_ST:
-        certified = _tail_certifies(Q, P, k_cap)
+        certified = _tail_certifies(Q, P, k_cap, pair_cap)  # tail_cap is symmetric
         if not certified and rho is not None and rho < 1:
             relation = Relation.INCOMPARABLE
             certified = True

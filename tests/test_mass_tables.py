@@ -3,7 +3,8 @@
 The references in this file use only math.comb, fractions.Fraction and the
 float Poisson recurrence: exact laws are summed as Fractions, Poisson laws
 as floats, and cumulative values are compared directly, as the scan did
-before the masses moved into integer tables.
+before the masses moved into integer tables. per_k_scan is the survival
+scan as a pass over every k, as it was before it settled blocks of k.
 """
 
 import itertools
@@ -13,7 +14,7 @@ import pathlib
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stochord import (
@@ -43,6 +44,9 @@ from stochord.exact import cross_sign
 from stochord.ordering import ClosedFormOutcome
 
 PINNED = json.loads((pathlib.Path(__file__).parent / "pinned_verdicts.json").read_text())
+# oracle outputs of the per-k survival scan (commit 3bc22db), decide-scale's
+# 700-point negative-binomial pairs among them
+PINNED_SCANS = json.loads((pathlib.Path(__file__).parent / "pinned_scans.json").read_text())
 
 
 # --- references -------------------------------------------------------------------
@@ -116,6 +120,45 @@ def scan_result(P, Q, hi, saturate=False):
     return relation, list(scan.crossings), oracle_mod._witness_pair(scan, hi)
 
 
+def per_k_scan(P, Q, hi, saturate=False, until_witnesses=False):
+    """The fields of _survival_scan from a pass over every k of the window.
+
+    Each cdf is the running sum of mass_iter: a Fraction for an exact law, a
+    float for a float law. The sign compares the two exactly, the saturation
+    test and the tail bound read float(F), which rounds a Fraction correctly.
+    """
+    lo = dist.joint_support(P, Q).k_min
+    floats = saturate and (dist.mass_table(P) is None or dist.mass_table(Q) is None)
+
+    def cdfs(spec):
+        masses = dist.mass_iter(spec)
+        head, acc = next(masses, None), 0
+        for k in range(lo, hi + 1):
+            if head is not None and head[0] == k:
+                acc, head = acc + head[1], next(masses, None)
+            yield acc
+
+    crossings, prev, above, below, end = [], 0, None, None, lo - 1
+    fp = fq = 0
+    for k, fp, fq in zip(range(lo, hi + 1), cdfs(P), cdfs(Q)):
+        if floats and (1.0 - float(fp)) + (1.0 - float(fq)) < 1e-15:
+            break
+        end = k
+        sign = (fp > fq) - (fp < fq)
+        if sign:
+            if prev and sign != prev:
+                crossings.append(k)
+            prev = sign
+            if sign > 0 and above is None:
+                above = k
+            if sign < 0 and below is None:
+                below = k
+            if until_witnesses and above is not None and below is not None:
+                break
+    tail_bound = max(0.0, 1.0 - float(fp)) + max(0.0, 1.0 - float(fq))
+    return oracle_mod._Scan(tuple(crossings), above, below, end, tail_bound)
+
+
 # --- strategies ---------------------------------------------------------------------
 
 probs = st.fractions(min_value=Fraction(1, 50), max_value=Fraction(49, 50), max_denominator=60)
@@ -134,6 +177,21 @@ negbinomials = st.builds(
     st.fractions(min_value=Fraction(1, 4), max_value=Fraction(19, 20), max_denominator=40),
 )
 poissons = st.builds(Poisson, st.fractions(min_value=Fraction(1, 4), max_value=Fraction(8), max_denominator=8))
+far_negbinomials = st.builds(  # means up to ~300, windows past the mode
+    NegBinomial,
+    st.integers(1, 8).map(Fraction),
+    st.fractions(min_value=Fraction(1, 40), max_value=Fraction(1, 3), max_denominator=40),
+)
+float_probs = st.floats(min_value=0.02, max_value=0.98)
+float_specs = (
+    st.builds(Binomial, st.integers(1, 25), float_probs)
+    | st.builds(NegBinomial, st.integers(1, 6).map(Fraction), st.floats(min_value=0.2, max_value=0.95))
+    | st.builds(NegBinomial, st.sampled_from([Fraction(1, 2), Fraction(3, 2), Fraction(7, 3)]), probs)
+    | st.builds(Poisson, st.floats(min_value=0.3, max_value=12.0))
+    | st.lists(float_probs, min_size=1, max_size=6).map(lambda ps: PoissonBinomial(tuple(sorted(ps, reverse=True))))
+)
+all_specs = finite_specs | negbinomials | far_negbinomials | poissons | float_specs
+unbounded_specs = negbinomials | far_negbinomials | poissons
 
 
 # --- tables ---------------------------------------------------------------------------
@@ -282,10 +340,10 @@ def test_mixed_profile_values_match_reference(P, Q, k_cap, swap):
 
 
 def _step_sign(p, q):
-    """The sign _survival_scan gives one step whose cdfs arrive as p and q."""
+    """The sign _survival_scan gives a one-k window whose cdfs arrive as p and q."""
     spec = Binomial(1, Fraction(1, 2))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(oracle_mod, "_paired_cdf_scan", lambda P, Q, hi: iter([(0, p, q)]))
+        mp.setattr(oracle_mod, "_paired_cdf_scan", lambda cdf_p, cdf_q, ks: ((k, p, q) for k in ks))
         scan = oracle_mod._survival_scan(spec, spec, 0)
     return (scan.first_above is not None) - (scan.first_below is not None)
 
@@ -328,6 +386,103 @@ def test_scan_falls_back_to_exact_ratios_where_floats_tie(monkeypatch):
     assert ref_scan(P, Q, 0, 40)[0] == Relation.LE_ST
 
 
+# --- the block scan against the per-k pass -------------------------------------------
+
+
+@settings(max_examples=250, deadline=None)
+@given(all_specs, all_specs, st.integers(0, 400), st.booleans(), st.booleans())
+@example(NegBinomial(Fraction(6), Fraction(1, 20)), NegBinomial(Fraction(5), Fraction(1, 25)), 400, False, False)
+@example(NegBinomial(Fraction(6), Fraction(1, 20)), NegBinomial(Fraction(5), Fraction(1, 25)), 400, False, True)
+@example(Poisson(Fraction(8)), NegBinomial(Fraction(3), Fraction(1, 2)), 400, True, False)
+@example(Poisson(7.5), Hypergeometric(30, 31, 20), 400, True, True)
+@example(Hypergeometric(30, 30, 20), Hypergeometric(30, 31, 20), 25, False, False)
+def test_block_scan_matches_per_k_scan(P, Q, hi, saturate, until_witnesses):
+    scan = oracle_mod._survival_scan(P, Q, hi, saturate=saturate, until_witnesses=until_witnesses)
+    assert scan == per_k_scan(P, Q, hi, saturate, until_witnesses)
+
+
+def _truncated_oracle_matches_per_k_scan(P, Q, k_cap, epsilon):
+    # the oracle's reports, witnesses included, as they come out of the per-k pass
+    report, witnesses = oracle_mod.dominance_truncated(P, Q, k_cap, epsilon), survival_witnesses(P, Q, k_cap)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle_mod, "_survival_scan", per_k_scan)
+        expected = oracle_mod.dominance_truncated(P, Q, k_cap, epsilon)
+        assert survival_witnesses(P, Q, k_cap) == witnesses
+    assert report == expected
+    assert report.witnesses == expected.witnesses
+
+
+epsilons = st.sampled_from([1e-12, 1e-9, 1e-6, 1e-15])
+
+
+@settings(max_examples=60, deadline=None)
+@given(unbounded_specs, unbounded_specs | finite_specs | float_specs, st.integers(0, 300), epsilons, st.booleans())
+def test_truncated_oracle_matches_per_k_scan(P, Q, k_cap, epsilon, swap):
+    if swap:
+        P, Q = Q, P
+    _truncated_oracle_matches_per_k_scan(P, Q, k_cap, epsilon)
+
+
+@settings(max_examples=40, deadline=None)
+@given(poissons | st.builds(Poisson, st.floats(min_value=0.3, max_value=12.0)), negbinomials | finite_specs | poissons, epsilons, st.booleans())
+def test_default_window_oracle_matches_per_k_scan(P, Q, epsilon, swap):
+    # the window comes from tail_cap, and the float cdf saturates inside it
+    if swap:
+        P, Q = Q, P
+    _truncated_oracle_matches_per_k_scan(P, Q, None, epsilon)
+
+
+def test_block_scan_reads_few_points_where_the_cdfs_part():
+    # NB(6, 1/20) and NB(5, 1/25) cross once; past the crossing whole blocks settle
+    P, Q = NegBinomial(Fraction(6), Fraction(1, 20)), NegBinomial(Fraction(5), Fraction(1, 25))
+    hi = dist.tail_cap(P, Q)
+    read = []
+    paired = oracle_mod._paired_cdf_scan
+
+    def counted(cdf_p, cdf_q, ks):
+        for point in paired(cdf_p, cdf_q, ks):
+            read.append(point[0])
+            yield point
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle_mod, "_paired_cdf_scan", counted)
+        scan = oracle_mod._survival_scan(P, Q, hi)
+    assert scan == per_k_scan(P, Q, hi)
+    assert len(read) == len(set(read)) < hi // 4
+
+
+@pytest.mark.parametrize(
+    "r, p", [(1, Fraction(1, 2)), (1, Fraction(9, 10)), (3, Fraction(2, 9)), (6, Fraction(1, 30)), (7, Fraction(333, 10000)), (40, Fraction(17, 25))]
+)
+def test_negbinomial_closed_form_is_the_running_sum(r, p):
+    table = dist.mass_table(NegBinomial(Fraction(r), p))
+    expected, acc, den = {}, 0, table.den
+    for k, num in zip(range(1201), table.numerators()):
+        if k:
+            acc, den = acc * table.step, den * table.step
+        acc += num
+        expected[k] = (acc, num, den)
+    for k in (0, 1, 2, 5, 50, 333, 1200):
+        assert table._closed(k) == expected[k]
+        assert dist.cdf(NegBinomial(Fraction(r), p), k) == Fraction(expected[k][0], expected[k][2])
+        assert table.num(k) == expected[k][1]
+    read = table.cdf_reader()
+    for k in (1200, 3, 4, 700, 20, 21, 0, 1199, 40, 39, 60):  # closed forms, and walks from a read below
+        acc, _, den = expected[k]
+        assert read(k) == (acc / den, acc, den)
+
+
+def test_finite_tables_sum_to_their_denominator():
+    # the reader's F = den/den from k_max on rests on this
+    specs = [Binomial(17, Fraction(3, 7)), Binomial(5, Fraction(1)), Hypergeometric(12, 7, 9), Hypergeometric(0, 4, 2)]
+    specs += [PoissonBinomial((Fraction(1), Fraction(2, 3), Fraction(0))), NegBinomial(Fraction(2), Fraction(1))]
+    for spec in specs:
+        table = dist.mass_table(spec)
+        assert sum(table.numerators()) == table.den
+        assert table.cdf_reader()(10**6) == (1.0, table.den, table.den)
+    assert dist.cdf(NegBinomial(Fraction(2), Fraction(1)), 10**6) == 1
+
+
 # --- pinned outputs -----------------------------------------------------------------------
 
 
@@ -358,6 +513,85 @@ def test_pinned_verdicts_serialise_as_plain_json(case):
         indices.append(cert.turning_index)
     assert all(type(k) is int for k in indices), indices
     assert json.loads(json.dumps(verdict_to_json(verdict), allow_nan=False)) == case["verdict"]
+
+
+def _report_json(report):
+    mode = report.mode
+    if isinstance(mode, oracle_mod.Exact):
+        mode_json = {"kind": "exact"}
+    else:
+        mode_json = {"kind": "truncated", "k_cap": mode.k_cap, "tail_bound": repr(mode.tail_bound), "certified": mode.certified}
+    witnesses = None if report.witnesses is None else list(report.witnesses)
+    return {"relation": report.relation.value, "crossings": list(report.crossings), "mode": mode_json, "witnesses": witnesses}
+
+
+@pytest.mark.parametrize("case", PINNED_SCANS, ids=lambda c: f"{c['P']['family']}-{c['Q']['family']}")
+def test_pinned_scans(case):
+    P, Q = spec_from_json(case["P"]), spec_from_json(case["Q"])
+    k_cap, options = case["k_cap"], {} if case["epsilon"] is None else {"epsilon": case["epsilon"]}
+    assert _report_json(oracle_mod.dominance(P, Q, OraclePolicy(k_cap=k_cap, **options))) == case["dominance"]
+    assert _report_json(oracle_mod.dominance_truncated(P, Q, k_cap, **options)) == case["dominance_truncated"]
+    witnesses = survival_witnesses(P, Q, k_cap)
+    assert (None if witnesses is None else list(witnesses)) == case["survival_witnesses"]
+    assert oracle_mod.crossing_points(P, Q, k_cap) == case["crossing_points"]
+
+
+# --- regressions -----------------------------------------------------------------------------
+
+
+def _product_float_pmf(r, p, k):
+    """NegBinomial.float_pmf for an exact r, as a fresh product of k Fractions."""
+    coef = Fraction(1)
+    for j in range(1, k + 1):
+        coef *= Fraction(r + j - 1, j)
+    return float(coef) * float(p) ** float(r) * float(1 - p) ** k
+
+
+def test_negbinomial_float_masses_carry_the_coefficient():
+    for spec in (NegBinomial(Fraction(3, 2), Fraction(1, 3)), NegBinomial(Fraction(3, 2), 0.4), NegBinomial(Fraction(2), 0.7)):
+        expected = [_product_float_pmf(spec.r, spec.p, k) for k in range(301)]
+        assert list(itertools.islice(spec.float_pmfs(0), 301)) == expected
+        assert list(itertools.islice(spec.float_pmfs(117), 20)) == expected[117:137]
+        assert [spec.float_pmf(k) for k in (0, 1, 150, 300)] == [expected[k] for k in (0, 1, 150, 300)]
+
+
+def test_poisson_against_a_float_negbinomial_decides():
+    # the profile scan's ~10^4-point window took O(K^2) Fraction products
+    # when each float mass rebuilt C(r+k-1, k) from scratch
+    verdict = decide(Poisson(0.01), NegBinomial(Fraction(2), 0.999999))
+    assert verdict.relation == Relation.GE_ST
+    assert verdict.certificate.kind == "truncated" and verdict.certificate.certified
+
+
+def test_spec_hash_is_computed_once(monkeypatch):
+    p_vec = tuple(Fraction(90 - i, 97) for i in range(60))
+    spec, twin = PoissonBinomial(p_vec), PoissonBinomial(p_vec)
+    assert hash(spec) == hash(twin) == hash((p_vec,))
+    assert spec == twin and hash(Binomial(4, Fraction(1, 3))) == hash((4, Fraction(1, 3)))
+    hashed = []
+    fraction_hash = Fraction.__hash__
+    monkeypatch.setattr(Fraction, "__hash__", lambda self: hashed.append(self) or fraction_hash(self))
+    dist.mass_table(spec)
+    dist.mass_table(spec)
+    assert hashed == []
+
+
+def test_truncated_oracle_computes_tail_cap_once(monkeypatch):
+    calls = []
+    tail_cap = dist.tail_cap
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return tail_cap(*args, **kwargs)
+
+    monkeypatch.setattr(dist, "tail_cap", counted)
+    monkeypatch.setattr(oracle_mod, "tail_cap", counted)
+    P, Q = NegBinomial(Fraction(1), Fraction(1, 2)), NegBinomial(Fraction(2), Fraction(1, 2))
+    for A, B in ((P, Q), (Q, P)):  # certified through the closed-form profile, each way
+        calls.clear()
+        report = oracle_mod.dominance_truncated(A, B)
+        assert report.relation in (Relation.LE_ST, Relation.GE_ST) and report.mode.certified
+        assert len(calls) == 1
 
 
 # --- regressions -----------------------------------------------------------------------------

@@ -11,8 +11,10 @@ and the head is the working tree's tracked and unignored files, copied into
 another, so both sides run from what a commit holds and nothing else. Each
 pair runs `python3 bench/run.py --trace 0` once per side, alternating which
 side runs first. A run counts only if it exits 0 and its last stdout line is a JSON
-result with "correct": true and "failed": 0. With --trace-runs N, each side
-also makes N `--trace 1` runs, whose per-layer metrics are kept as printed.
+result with "correct": true, "failed": 0 and a number for every metric (an
+absent metric prints as null). With --trace-runs N, each side also makes N
+`--trace 1` runs, held to the same rule, whose per-layer metrics are kept as
+printed.
 
 The output JSON holds, per workload, each side's runs, medians and
 quartiles, and the head's wins per metric (better on that pair, ties
@@ -25,6 +27,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import platform
 import shutil
@@ -64,17 +67,32 @@ def bench_run(checkout: str, workload: str, seed: int, seconds: int, trace: int)
         proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
     except subprocess.TimeoutExpired:
         return {"ok": False, "error": f"no result within {RUN_TIMEOUT_S} s"}
-    wall = round(time.monotonic() - started, 1)
-    lines = proc.stdout.strip().splitlines()
+    out = parse_run(proc.returncode, proc.stdout)
+    out["wall_s"] = round(time.monotonic() - started, 1)
+    if not out["ok"]:
+        out["stderr"] = proc.stderr[-2000:]
+    return out
+
+
+def is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def parse_run(returncode: int, stdout: str) -> dict:
+    """A run's metric values from its exit code and stdout, with "ok" false
+    unless the last line is a correct result whose every metric is a number."""
+    lines = stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1])
-    except (IndexError, ValueError):
-        return {"ok": False, "error": f"exit {proc.returncode}; last line is not JSON", "stderr": proc.stderr[-2000:]}
-    ok = proc.returncode == 0 and result.get("correct") is True and result.get("failed") == 0
-    out = {"ok": ok, "wall_s": wall, "attempted": result.get("attempted"), "failed": result.get("failed"),
-           "metrics": {name: m["value"] for name, m in result.get("metrics", {}).items()}}
-    if not ok:
-        out["error"] = f"exit {proc.returncode}, correct {result.get('correct')}"
+        metrics = {name: m["value"] for name, m in result["metrics"].items()}
+    except (IndexError, ValueError, KeyError, TypeError, AttributeError):
+        return {"ok": False, "error": f"exit {returncode}; last line is not a result"}
+    out = {"ok": True, "attempted": result.get("attempted"), "failed": result.get("failed"), "metrics": metrics}
+    not_numbers = sorted(name for name, value in metrics.items() if not is_number(value))
+    if returncode != 0 or result.get("correct") is not True or result.get("failed") != 0:
+        out.update(ok=False, error=f"exit {returncode}, correct {result.get('correct')}, failed {result.get('failed')}")
+    elif not_numbers:
+        out.update(ok=False, error=f"not a number: {', '.join(not_numbers)}")
     return out
 
 
@@ -90,10 +108,10 @@ def summarise(base_runs: list, head_runs: list, better: dict) -> dict:
     pairs = [(b, h) for b, h in zip(base_runs, head_runs) if b["ok"] and h["ok"]]
     out = {}
     for name, direction in better.items():
-        base = [b["metrics"][name] for b, _ in pairs if b["metrics"].get(name) is not None]
-        head = [h["metrics"][name] for _, h in pairs if h["metrics"].get(name) is not None]
-        if not base or not head:
+        if not pairs or any(name not in run["metrics"] for pair in pairs for run in pair):
             continue
+        base = [b["metrics"][name] for b, _ in pairs]
+        head = [h["metrics"][name] for _, h in pairs]
         sign = 1 if direction == "higher" else -1
         wins = sum(1 for b, h in zip(base, head) if sign * (h - b) > 0)
         bm, hm = statistics.median(base), statistics.median(head)
@@ -170,6 +188,8 @@ def main(argv=None) -> int:
                            for _ in range(args.trace_runs)]
                     for side in ("base", "head")
                 }
+                entry["errors"] += [f"trace {side}: {r['error']}" for side, rs in entry["trace"].items()
+                                    for r in rs if not r["ok"]]
             workloads_out[workload] = entry
             with open(args.out, "w") as fh:
                 json.dump(report, fh, indent=1, sort_keys=True)
